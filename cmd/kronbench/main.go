@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"time"
@@ -135,7 +136,10 @@ func runFig(name string, fn func(int) error, maxWorkers int) error {
 	if err != nil {
 		return err
 	}
-	path := fmt.Sprintf("%s/BENCH_%s.json", jsonDir, name)
+	if err := os.MkdirAll(jsonDir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(jsonDir, "BENCH_"+name+".json")
 	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		return err
 	}
@@ -677,9 +681,9 @@ func fig4(maxWorkers int) error {
 
 	// Validation-throughput benchmark: edges measured per second through
 	// the full predicted-vs-measured pipeline (generate, degree-merge, CSR,
-	// both triangle counters) on a larger hub-loop workload. The streaming
-	// engine is compared against the materialized sort-and-dedupe baseline
-	// at one worker, then swept across worker counts.
+	// the degree-ordered triangle count) on a larger hub-loop workload. The
+	// streaming engine is compared against the materialized sort-and-dedupe
+	// baseline at one worker, then swept across worker counts.
 	bd, err := kron.FromPoints([]int{3, 4, 5, 9, 16}, kron.LoopHub)
 	if err != nil {
 		return err

@@ -109,7 +109,8 @@ func TestMetricsExposition(t *testing.T) {
 	design := DesignRequest{Points: []int{3, 4, 5}, Loop: "hub"}
 
 	// Discard job to done, then validate it (runs the instrumented
-	// validate_tally / validate_scatter passes in-process).
+	// validate_tally / validate_scatter passes and the validate_triangles
+	// count in-process).
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{DesignRequest: design, Workers: 2, Split: 1, Sink: SinkDiscard})
 	job := decodeBody[JobStatus](t, resp)
 	waitForState(t, ts.URL, job.ID, StateDone)
@@ -279,8 +280,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// The series the observability layer promises. Stage counters carry the
-	// full serving chain plus both validation passes; the route histogram has
-	// per-pattern children from the requests this test made.
+	// full serving chain plus both validation passes and the triangle count;
+	// the route histogram has per-pattern children from the requests this
+	// test made.
 	all := strings.Join(sampleLines, "\n")
 	for _, want := range []string{
 		`kronserve_http_request_seconds_bucket{route="POST /v1/jobs",`,
@@ -293,6 +295,7 @@ func TestMetricsExposition(t *testing.T) {
 		`kronserve_stage_busy_seconds_total{stage="service_stream"}`,
 		`kronserve_stage_batches_total{stage="validate_tally"}`,
 		`kronserve_stage_batches_total{stage="validate_scatter"}`,
+		`kronserve_stage_busy_seconds_total{stage="validate_triangles"}`,
 		"kronserve_jobs_done_total",
 	} {
 		if !strings.Contains(all, want) {

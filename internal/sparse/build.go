@@ -310,11 +310,11 @@ func DegreeHistogramCSR(rowPtr []int, np int) (map[int64]int64, error) {
 // retuned.
 const IntersectRatio = 16
 
-// intersectWeight estimates the cost of intersecting adjacency lists of
+// IntersectWeight estimates the cost of intersecting adjacency lists of
 // lengths di and dj under the adaptive strategy: the short list plus a
 // merge-regime share of the combined length. Exactness doesn't matter —
 // only that hub×hub pairs weigh much more than hub×leaf pairs.
-func intersectWeight(di, dj int64) int64 {
+func IntersectWeight(di, dj int64) int64 {
 	mn := di
 	if dj < mn {
 		mn = dj
@@ -324,7 +324,7 @@ func intersectWeight(di, dj int64) int64 {
 
 // EdgeBands partitions the stored-entry index space [0, nnz) of m into np
 // contiguous ranges of approximately equal intersection work, weighting
-// entry (i,j) by intersectWeight(deg(i), deg(j)). Row-granular partitions
+// entry (i,j) by IntersectWeight(deg(i), deg(j)). Row-granular partitions
 // starve on hub-dominated power-law graphs, where one row can hold half the
 // quadratic work; entry granularity splits a hub row across workers. Bands
 // are returned as [lo, hi) pairs covering the whole index space in order;
@@ -339,7 +339,7 @@ func (m *CSR[T]) EdgeBands(np int) [][2]int {
 		di := int64(m.RowPtr[i+1] - m.RowPtr[i])
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			j := m.ColIdx[p]
-			total += intersectWeight(di, int64(m.RowPtr[j+1]-m.RowPtr[j]))
+			total += IntersectWeight(di, int64(m.RowPtr[j+1]-m.RowPtr[j]))
 		}
 	}
 	out := make([][2]int, 0, np)
@@ -349,7 +349,7 @@ func (m *CSR[T]) EdgeBands(np int) [][2]int {
 		di := int64(m.RowPtr[i+1] - m.RowPtr[i])
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1] && band < np; p++ {
 			j := m.ColIdx[p]
-			acc += intersectWeight(di, int64(m.RowPtr[j+1]-m.RowPtr[j]))
+			acc += IntersectWeight(di, int64(m.RowPtr[j+1]-m.RowPtr[j]))
 			// total/np first: total·band can overflow int64 on cap-scale
 			// hub graphs (weights grow ~deg², so total can reach ~2^56)
 			// with high worker counts, which would wrap the threshold

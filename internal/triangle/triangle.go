@@ -1,7 +1,10 @@
-// Package triangle counts triangles in realized graphs two independent ways:
-// the linear-algebra formula of Section IV-A, Ntri = (1/6)·1ᵀ(AA ⊗ A)1,
-// via the sparse substrate, and a combinatorial node-iterator. The validation
-// harness uses them to confirm the designer's closed-form predictions.
+// Package triangle counts triangles in realized graphs. Validation counts
+// each triangle once with the degree-ordered forward algorithm
+// (CountOrientedCSR) and confirms the designer's closed-form prediction with
+// it. Two independent counters stay as the tests' oracles and the
+// benchmark's probes: the linear-algebra formula of Section IV-A,
+// Ntri = (1/6)·1ᵀ(AA ⊗ A)1, via the sparse substrate, and a combinatorial
+// node-iterator.
 package triangle
 
 import (
@@ -107,10 +110,11 @@ func CountBoth(a *sparse.COO[int64]) (int64, error) {
 
 // --- CSR-native parallel counters ----------------------------------------
 //
-// The streaming validation engine already holds the measured graph as a
-// canonical CSR, so the counters below work on it directly — no COO round
-// trip, no re-sort, no dedupe — and partition the work across np goroutines
-// at stored-entry granularity. Row-granular partitions starve on the
+// The streaming validation engine holds the measured graph as a canonical
+// CSR, so the counters below (and CountOrientedCSR, which validation runs)
+// work on it directly — no COO round trip, no re-sort, no dedupe. The
+// full-row counters here partition the work across np goroutines at
+// stored-entry granularity. Row-granular partitions starve on the
 // hub-dominated graphs this library designs (a single hub row can carry
 // half the quadratic merge work), so bands come from sparse.EdgeBands,
 // which weighs each entry (i,j) by deg(i)+deg(j) and may split a hub row
@@ -278,8 +282,8 @@ func countNodeIteratorBands(ctx context.Context, a *sparse.CSR[int64], bands [][
 }
 
 // CountBothCSR runs both CSR counters with np workers each and errors if
-// they disagree — the validation engine's self-consistency check. The
-// weighted bands are computed once and shared: the band scan is a serial
+// they disagree — a self-consistency check that tests use as an oracle for
+// CountOrientedCSR and the benchmark times as a probe. The weighted bands are computed once and shared: the band scan is a serial
 // O(nnz) pass, and paying it twice would bottleneck the parallel counters
 // on large graphs.
 func CountBothCSR(ctx context.Context, a *sparse.CSR[int64], np int) (int64, error) {
@@ -303,13 +307,21 @@ func CountBothCSR(ctx context.Context, a *sparse.CSR[int64], np int) (int64, err
 
 // checkCSR validates counter input and computes the shared entry bands.
 func checkCSR(a *sparse.CSR[int64], np int) ([][2]int, error) {
-	if a.NumRows != a.NumCols {
-		return nil, fmt.Errorf("triangle: adjacency must be square, got %dx%d", a.NumRows, a.NumCols)
-	}
-	if np < 1 {
-		return nil, fmt.Errorf("triangle: need at least one worker, got %d", np)
+	if err := checkShape(a, np); err != nil {
+		return nil, err
 	}
 	return a.EdgeBands(np), nil
+}
+
+// checkShape rejects non-square adjacency and worker counts below one.
+func checkShape(a *sparse.CSR[int64], np int) error {
+	if a.NumRows != a.NumCols {
+		return fmt.Errorf("triangle: adjacency must be square, got %dx%d", a.NumRows, a.NumCols)
+	}
+	if np < 1 {
+		return fmt.Errorf("triangle: need at least one worker, got %d", np)
+	}
+	return nil
 }
 
 // rowOfEntry binary-searches RowPtr for the row containing stored-entry

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/bigdeg"
@@ -120,9 +121,9 @@ func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) 
 // Report with np workers: fragments concatenate per row in shard order
 // (canonical without sorting, because the generator's band-order guarantee
 // extends across shards), degrees and vertices fall out of the merged row
-// pointers, and triangles are counted once over the merged CSR's
-// weight-balanced entry bands — the only phase of validation that must see
-// the whole graph.
+// pointers, and triangles are counted on the merged CSR — the only phase of
+// validation that must see the whole graph. The count consumes the CSR it
+// is given, so the reports themselves stay intact and can be merged again.
 //
 // Merge is defensive about coverage: the reports must all describe the same
 // design and split, belong to the same K-shard plan, cover every index
@@ -182,6 +183,14 @@ func Merge(ctx context.Context, reports []*ShardReport, np int) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
+	if len(frags) == 1 {
+		// A one-fragment merge shares the report's storage, and the triangle
+		// count below reorders ColIdx in place. The report must survive for
+		// later merges (the service re-merges sibling and retried shards),
+		// so the counter gets its own copy of the one array it rewrites.
+		a = &sparse.CSR[int64]{NumRows: a.NumRows, NumCols: a.NumCols,
+			RowPtr: a.RowPtr, ColIdx: slices.Clone(a.ColIdx), Val: a.Val}
+	}
 
 	rep := &Report{
 		Design:             first.Design,
@@ -205,7 +214,7 @@ func Merge(ctx context.Context, reports []*ShardReport, np int) (*Report, error)
 	rep.MeasuredDegrees = md
 	rep.MeasuredVertices = touched
 
-	tri, err := triangle.CountBothCSR(ctx, a, np)
+	tri, err := triangle.CountOrientedCSR(ctx, a, np, obs.Stages.Stage(stageTriangles))
 	if err != nil {
 		return nil, err
 	}

@@ -142,6 +142,39 @@ func TestMergeRejectsBrokenPlans(t *testing.T) {
 	}
 }
 
+// Merge's triangle count consumes the CSR it counts, and a one-shard merge
+// is the shard's own fragment. The service merges the same reports again
+// (sibling jobs, retried shards), so every merge of one report set must
+// still agree exactly: a count that reordered the fragment in place would
+// leave the second merge counting garbage.
+func TestMergeTwiceKeepsFragments(t *testing.T) {
+	d, err := core.FromPoints([]int{3, 4, 5}, star.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, K := range []int{1, 2} {
+		plan, err := gen.PlanDesignShards(d, 1, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := make([]*ShardReport, len(plan))
+		for i, s := range plan {
+			if reports[i], err = RunShard(context.Background(), d, 1, 2, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 1; round <= 2; round++ {
+			rep, err := Merge(context.Background(), reports, 2)
+			if err != nil {
+				t.Fatalf("K=%d merge %d: %v", K, round, err)
+			}
+			if !rep.ExactAgreement {
+				t.Errorf("K=%d merge %d: %v", K, round, rep.Mismatches)
+			}
+		}
+	}
+}
+
 // The sampled mode with Stride 1 evaluates every band, so its triangle
 // "estimate" must equal the exact count and its exact side must match Run's;
 // with the default stride the exact side is still exact and the KS statistic

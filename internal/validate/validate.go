@@ -19,12 +19,14 @@
 //     band-order guarantee makes each row arrive column-sorted; see
 //     gen.StreamBatches and sparse.CSRBuilder).
 //
-// Triangles are then counted on the CSR by the same worker pool, partitioned
-// over weight-balanced entry bands (triangle.CountBothCSR). Peak memory is
-// the CSR itself plus the O(workers·vertices) tally tables — there is no
-// materialized COO, no Dedupe clone, and no reflection sort anywhere on the
-// path, which is what lifts MaxRealizableEdges 8× over the materialized
-// engine.
+// Triangles are then counted once each on the CSR by the same worker pool,
+// over a degree-ordered orientation built in place
+// (triangle.CountOrientedCSR); the design's closed-form count is the
+// oracle, so no second count runs. Peak memory is the CSR itself plus the
+// O(workers·vertices) tally tables and the count's O(vertices) row ends —
+// there is no materialized COO, no Dedupe clone, and no reflection sort
+// anywhere on the path, which is what lifts MaxRealizableEdges 8× over the
+// materialized engine.
 package validate
 
 import (
@@ -49,8 +51,9 @@ import (
 // when validation runs in-server), so the per-pass batch/edge/busy totals
 // behind a fig4 scaling run are readable off /metrics.
 const (
-	stageTally   = "validate_tally"
-	stageScatter = "validate_scatter"
+	stageTally     = "validate_tally"
+	stageScatter   = "validate_scatter"
+	stageTriangles = "validate_triangles"
 )
 
 // Report compares predicted and measured properties of one design.
@@ -145,7 +148,8 @@ func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
 		return nil, err
 	}
 
-	tri, err := triangle.CountBothCSR(ctx, a, np)
+	// The CSR is consumed here: nothing after the count reads it.
+	tri, err := triangle.CountOrientedCSR(ctx, a, np, obs.Stages.Stage(stageTriangles))
 	if err != nil {
 		return nil, err
 	}

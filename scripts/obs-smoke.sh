@@ -6,7 +6,7 @@
 #
 #   1. /metrics carries the promised series: per-route latency histograms,
 #      job queue-wait/run-time histograms, and the pipeline stage counters
-#      for the service chain and the validation passes.
+#      for the service chain, the validation passes and the triangle count.
 #   2. /v1/jobs/{id}/trace ends in a terminal phase.
 #   3. The -debug-addr listener answers /debug/vars and a 1-second
 #      /debug/pprof/profile capture.
@@ -58,7 +58,7 @@ for i in $(seq 1 100); do
   sleep 0.1
 done
 
-echo "== validate the done job (drives the instrumented validation passes)"
+echo "== validate the done job (drives the instrumented validation passes and triangle count)"
 curl -sf "$BASE/v1/validate/$JOB" | grep -q '"exactAgreement": *true' \
   || fail "validation did not report exact agreement"
 
@@ -80,6 +80,7 @@ for series in \
   'kronserve_stage_busy_seconds_total{stage="service_stream"}' \
   'kronserve_stage_batches_total{stage="validate_tally"}' \
   'kronserve_stage_batches_total{stage="validate_scatter"}' \
+  'kronserve_stage_busy_seconds_total{stage="validate_triangles"}' \
   'kronserve_jobs_done_total'
 do
   grep -qF "$series" "$WORK/metrics.txt" || fail "/metrics missing: $series"
