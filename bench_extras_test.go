@@ -3,6 +3,7 @@
 package repro
 
 import (
+	"context"
 	"math/big"
 	"runtime"
 	"testing"
@@ -80,7 +81,7 @@ func BenchmarkDistributedDegrees(b *testing.B) {
 	np := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.DegreeHistogram(np); err != nil {
+		if _, err := g.DegreeHistogram(context.Background(), np); err != nil {
 			b.Fatal(err)
 		}
 	}

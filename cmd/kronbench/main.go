@@ -226,15 +226,16 @@ func fig3(maxWorkers int) error {
 	}
 	fmt.Printf("workload: %v, %d edges per full generation\n", d, g.NumEdges())
 	fmt.Printf("%-8s %-14s %s\n", "cores", "edges/s", "source")
+	// Every generation series below emits real edge batches: a batch-only
+	// sink (pipeline.Func over Counter.WriteBatch) keeps the pass off block
+	// replay, whose closed-form count fold would otherwise skip emission.
 	perCore := 0.0
 	var measured []parallel.ScalingPoint
 	for np := 1; np <= maxWorkers; np *= 2 {
-		start := time.Now()
-		total, _, err := g.CountEdges(context.Background(), np)
+		rate, err := batchStreamRate(g, np, nil)
 		if err != nil {
 			return err
 		}
-		rate := float64(total) / time.Since(start).Seconds()
 		if np == 1 {
 			perCore = rate
 		}
@@ -269,23 +270,18 @@ func fig3(maxWorkers int) error {
 		return err
 	}
 	perEdgeRate := float64(g.NumEdges()) / time.Since(start).Seconds()
-	batchCounter := pipeline.NewCounter(maxWorkers)
-	start = time.Now()
-	if err := g.StreamTo(context.Background(), maxWorkers, 0, batchCounter); err != nil {
+	batchRate, err := batchStreamRate(g, maxWorkers, nil)
+	if err != nil {
 		return err
 	}
-	batchRate := float64(batchCounter.Total()) / time.Since(start).Seconds()
 	// The same fold behind pipeline.Instrument: the observability layer's
 	// per-batch cost (two clock reads, three atomic adds) measured end to end
 	// against the bare batch path — the overhead the kronscope design budgets
 	// below 2% of streamed throughput.
-	instrCounter := pipeline.NewCounter(maxWorkers)
-	instrSink := pipeline.Instrument(obs.NewStageSet().Stage("bench"), instrCounter)
-	start = time.Now()
-	if err := g.StreamTo(context.Background(), maxWorkers, 0, instrSink); err != nil {
+	instrRate, err := batchStreamRate(g, maxWorkers, obs.NewStageSet().Stage("bench"))
+	if err != nil {
 		return err
 	}
-	instrRate := float64(instrCounter.Total()) / time.Since(start).Seconds()
 	overheadPct := (batchRate - instrRate) / batchRate * 100
 	fmt.Printf("\nstreaming API comparison at %d workers (same workload):\n", maxWorkers)
 	fmt.Printf("%-14s %-14s\n", "path", "edges/s")
@@ -317,12 +313,12 @@ func fig3(maxWorkers int) error {
 		drained <- n
 	}()
 	start = time.Now()
-	err = g.StreamBatches(context.Background(), maxWorkers, 0, func(p int, batch []gen.Edge) error {
+	err = g.StreamTo(context.Background(), maxWorkers, 0, pipeline.Func(func(p int, batch []gen.Edge) error {
 		out := make([]gen.Edge, len(batch))
 		copy(out, batch)
 		copyCh <- out
 		return nil
-	})
+	}))
 	close(copyCh)
 	copied := <-drained
 	if err != nil {
@@ -405,21 +401,6 @@ func fig3(maxWorkers int) error {
 	recordBench("shardSummedEdgesPerSec", summed)
 	recordBench("shardSpeedup", summed/fullRate)
 	recordBench("shardPlanCostEdgesPerSec", planRep.AggregateRate)
-
-	// Inner-loop hoist micro-delta: the live count engine (per-B-triple
-	// row/col bases, C pre-widened to int64 edges) against the retired loop
-	// kept verbatim in CountEdgesBaseline (per-edge `ib*mC + ic` multiplies
-	// and int→int64 widening).
-	start = time.Now()
-	baseTotal, _, err := g.CountEdgesBaseline(context.Background(), 1)
-	if err != nil {
-		return err
-	}
-	baselineRate := float64(baseTotal) / time.Since(start).Seconds()
-	fmt.Printf("\ninner-loop hoist: %.3e edges/s hoisted vs %.3e baseline (%.2fx)\n",
-		fullRate, baselineRate, fullRate/baselineRate)
-	recordBench("countBaselineEdgesPerSec", baselineRate)
-	recordBench("rowBaseHoistSpeedup", fullRate/baselineRate)
 
 	// Wire formats: encoder throughput over a real band-ordered prefix of
 	// this workload's stream — the component cost of putting edges on the
@@ -512,6 +493,22 @@ func fig3(maxWorkers int) error {
 			r.MaxEdgesPerCore-r.MinEdgesPerCore)
 	}
 	return nil
+}
+
+// batchStreamRate times one full generation pass at np workers into a
+// batch-only Counter — the edges are emitted batch by batch, never folded
+// per block — optionally behind pipeline.Instrument, and returns edges/s.
+func batchStreamRate(g *gen.Generator, np int, stage *obs.Stage) (float64, error) {
+	cnt := pipeline.NewCounter(np)
+	var sink pipeline.Sink = pipeline.Func(cnt.WriteBatch)
+	if stage != nil {
+		sink = pipeline.Instrument(stage, sink)
+	}
+	start := time.Now()
+	if err := g.StreamTo(context.Background(), np, 0, sink); err != nil {
+		return 0, err
+	}
+	return float64(cnt.Total()) / time.Since(start).Seconds(), nil
 }
 
 // errSampleFull stops the sampling pass once enough edges are collected; it

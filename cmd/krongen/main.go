@@ -62,6 +62,9 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers %d; need at least 1", *workers)
+	}
 	stopCPU, err := cliutil.StartCPUProfile(*cpuprofile)
 	if err != nil {
 		return err
@@ -254,7 +257,7 @@ func streamChunks(g *gen.Generator, shard *gen.ShardInfo, workers int, dir, form
 	// With -format bin (delta) every member of this composition is
 	// block-capable — the delta writers replay cached block bytes, the
 	// counter folds closed-form counts — so the stream pass runs the
-	// generator's block-replay engine; tsv and binfixed keep their own batch
+	// generator in block-replay mode; tsv and binfixed keep their own batch
 	// fast paths and route the tee through batches.
 	sink := pipeline.Tee(pipeline.PerWorker(sinks...), counter)
 	start := time.Now()

@@ -197,3 +197,18 @@ func TestFormatRequiresStream(t *testing.T) {
 		t.Fatal("unknown -format accepted")
 	}
 }
+
+// TestRejectsNonPositiveWorkers pins the -workers check at flag parsing: a
+// negative count used to panic sizing the per-worker chunk files in -stream
+// mode, and zero failed only deep inside the partitioner.
+func TestRejectsNonPositiveWorkers(t *testing.T) {
+	for _, w := range []string{"-1", "0"} {
+		for _, mode := range [][]string{{"-stream", t.TempDir()}, {"-count"}} {
+			args := append([]string{"-mhat", "3,4", "-loop", "hub", "-workers", w}, mode...)
+			err := run(args)
+			if err == nil || !strings.Contains(err.Error(), "-workers") {
+				t.Errorf("run(%q) = %v, want a -workers error", args, err)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/star"
 )
 
@@ -14,7 +15,7 @@ import (
 // across workers, worker p's entries for a row all precede worker p+1's in
 // column order. Pinned here so a change to B's or C's realization order
 // fails fast instead of silently degrading the validator to per-row sorts.
-func TestStreamBatchesBandOrderGuarantee(t *testing.T) {
+func TestStreamToBandOrderGuarantee(t *testing.T) {
 	for _, tc := range []struct {
 		pts  []int
 		loop star.LoopMode
@@ -40,7 +41,7 @@ func TestStreamBatchesBandOrderGuarantee(t *testing.T) {
 			lastCol[w] = make(map[int64]int64)
 		}
 		var mu sync.Mutex
-		err = g.StreamBatches(context.Background(), tc.np, 0, func(w int, batch []Edge) error {
+		err = g.StreamTo(context.Background(), tc.np, 0, pipeline.Func(func(w int, batch []Edge) error {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, e := range batch {
@@ -51,7 +52,7 @@ func TestStreamBatchesBandOrderGuarantee(t *testing.T) {
 				lastCol[w][e.Row] = e.Col
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestStreamBatchesBandOrderGuarantee(t *testing.T) {
 		for w := range firstCol {
 			firstCol[w] = make(map[int64]int64)
 		}
-		err = g.StreamBatches(context.Background(), tc.np, 0, func(w int, batch []Edge) error {
+		err = g.StreamTo(context.Background(), tc.np, 0, pipeline.Func(func(w int, batch []Edge) error {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, e := range batch {
@@ -72,7 +73,7 @@ func TestStreamBatchesBandOrderGuarantee(t *testing.T) {
 				}
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

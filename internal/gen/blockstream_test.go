@@ -44,7 +44,7 @@ func decodeBinary(t *testing.T, data []byte) ([]Edge, *graphio.BinaryInfo) {
 }
 
 // TestBlockStreamWireParity is the end-to-end conformance property of the
-// block-replay engine: for randomized designs and shard plans K ∈ {1, 2, 3,
+// block-replay mode: for randomized designs and shard plans K ∈ {1, 2, 3,
 // 7}, the replayed delta stream of every shard is byte-identical to the
 // per-edge oracle's, decodes to exactly the batch path's edges, and carries
 // the plan's closed-form count and checksum in its trailer.

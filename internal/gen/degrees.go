@@ -1,51 +1,30 @@
 package gen
 
 import (
+	"context"
 	"fmt"
-
-	"repro/internal/parallel"
 )
 
 // RowDegrees computes the generated graph's structural row degrees (= the
 // paper's vertex degrees) with np workers, without materializing any edges:
-// each worker tallies its own slice of the product into a private array and
-// the arrays are summed afterwards. Because the generator never emits
-// duplicate entries, the tallies are exact. This is how degree validation
-// would run on a real distributed machine — one local pass, one reduction.
-func (g *Generator) RowDegrees(np int) ([]int64, error) {
+// the generation engine streams into a per-worker row tally, and the
+// workers' private arrays are summed afterwards. Because the generator never
+// emits duplicate entries, the tallies are exact. This is how degree
+// validation would run on a real distributed machine — one local pass, one
+// reduction. A cancelled ctx returns ctx.Err().
+func (g *Generator) RowDegrees(ctx context.Context, np int) ([]int64, error) {
 	if g.mA > 1<<31 {
 		return nil, fmt.Errorf("gen: %d vertices too many for an in-memory degree vector", g.mA)
 	}
-	parts, err := parallel.Partition(g.b.NNZ(), np)
-	if err != nil {
-		return nil, err
+	if np < 1 {
+		return nil, fmt.Errorf("gen: worker count %d; need at least 1", np)
 	}
-	locals := make([][]int64, np)
-	mC := int64(g.c.NumRows)
-	err = parallel.Run(np, func(p int) error {
-		if parts[p].Len() == 0 {
-			return nil
-		}
-		local := make([]int64, g.mA)
-		for _, tb := range g.b.Tr[parts[p].Lo:parts[p].Hi] {
-			rBase := int64(tb.Row) * mC
-			cBase := int64(tb.Col) * int64(g.c.NumCols)
-			for _, tc := range g.c.Tr {
-				row := rBase + int64(tc.Row)
-				if row == g.loopRow && cBase+int64(tc.Col) == g.loopRow {
-					continue
-				}
-				local[row]++
-			}
-		}
-		locals[p] = local
-		return nil
-	})
-	if err != nil {
+	tally := rowTally{n: g.mA, locals: make([][]int64, np)}
+	if err := g.StreamTo(ctx, np, 0, tally); err != nil {
 		return nil, err
 	}
 	total := make([]int64, g.mA)
-	for _, local := range locals {
+	for _, local := range tally.locals {
 		for i, v := range local {
 			total[i] += v
 		}
@@ -53,10 +32,32 @@ func (g *Generator) RowDegrees(np int) ([]int64, error) {
 	return total, nil
 }
 
+// rowTally is a batch-only fold sink: worker p counts its edges' rows into
+// a private degree array, allocated on p's first batch (workers without
+// triples never allocate one).
+type rowTally struct {
+	n      int64
+	locals [][]int64
+}
+
+func (t rowTally) WriteBatch(p int, batch []Edge) error {
+	local := t.locals[p]
+	if local == nil {
+		local = make([]int64, t.n)
+		t.locals[p] = local
+	}
+	for _, e := range batch {
+		local[e.Row]++
+	}
+	return nil
+}
+
+func (rowTally) Close() error { return nil }
+
 // DegreeHistogram reduces RowDegrees into the n(d) histogram the paper's
 // validation compares against predictions, skipping empty rows.
-func (g *Generator) DegreeHistogram(np int) (map[int64]int64, error) {
-	deg, err := g.RowDegrees(np)
+func (g *Generator) DegreeHistogram(ctx context.Context, np int) (map[int64]int64, error) {
+	deg, err := g.RowDegrees(ctx, np)
 	if err != nil {
 		return nil, err
 	}

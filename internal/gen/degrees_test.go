@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestRowDegreesMatchRealized(t *testing.T) {
 		}
 		want := sparse.RowNNZCounts(a, sr)
 		for _, np := range []int{1, 3, 8} {
-			got, err := g.RowDegrees(np)
+			got, err := g.RowDegrees(context.Background(), np)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +46,7 @@ func TestRowDegreesMatchRealized(t *testing.T) {
 // The distributed histogram must equal the design's predicted distribution.
 func TestDegreeHistogramMatchesPrediction(t *testing.T) {
 	d, g := mustGen(t, []int{3, 4, 5, 9}, star.LoopHub, 2)
-	hist, err := g.DegreeHistogram(4)
+	hist, err := g.DegreeHistogram(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestDegreeHistogramMatchesPrediction(t *testing.T) {
 // Degree sum equals twice nothing — it equals the edge (nnz) count exactly.
 func TestRowDegreesSumEqualsEdges(t *testing.T) {
 	_, g := mustGen(t, []int{3, 4, 5}, star.LoopLeaf, 1)
-	deg, err := g.RowDegrees(3)
+	deg, err := g.RowDegrees(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

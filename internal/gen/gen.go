@@ -31,8 +31,7 @@ type Generator struct {
 	// edges. The B×C inner loop runs over this slice: the per-edge work is
 	// then three adds and a multiply against values already in edge layout —
 	// no int→int64 widening, no struct conversion — and the block-replay
-	// path renders its templates from it directly. (The retired per-triple
-	// inner loop survives as CountEdgesBaseline for the recorded delta.)
+	// path renders its templates from it directly.
 	cEdges []Edge
 	// loopRow is the global index of the self-loop to drop, or -1.
 	loopRow int64
@@ -47,7 +46,7 @@ type Generator struct {
 // guarantee the measurement engine builds on: within any one worker, the
 // edges of each global row arrive in strictly increasing column order, and
 // worker p+1's entries for that row all come after worker p's (see
-// StreamBatches).
+// StreamTo).
 func New(d *core.Design, nb int) (*Generator, error) {
 	bd, cd, err := d.Split(nb)
 	if err != nil {
@@ -131,8 +130,8 @@ type Edge = graphio.Edge
 // edge) at the price of cancellation latency (more edges generated between
 // ctx.Err() observations).
 const (
-	// DefaultBatchSize is the per-worker edge batch size StreamBatches and
-	// StreamTo use when the caller passes batchSize <= 0: large enough to
+	// DefaultBatchSize is the per-worker edge batch size StreamTo and
+	// StreamShardTo use when the caller passes batchSize <= 0: large enough to
 	// amortize the per-batch callback to nothing, small enough that a batch
 	// stays cache-resident. The service's streaming hand-off defaults to
 	// this size too (kronserve -batch overrides it per server).
@@ -145,17 +144,22 @@ const (
 	CompatBatchSize = 512
 )
 
-// StreamBatches is the batch-native hot path: it generates the graph with np
-// workers, filling a reusable per-worker edge buffer directly in the inner
-// B-triple × C loop and handing it to emit once per batchSize edges
-// (batchSize <= 0 selects DefaultBatchSize). The context is checked once per
-// batch, and the removed-self-loop test runs only for the single B triple
-// whose row and column blocks can contain the loop — every other triple's
-// fan-out is a straight fill. emit is invoked concurrently from np
-// goroutines with deterministic per-worker batch order; the batch slice is
-// reused after emit returns, so an emit that retains edges beyond the call
-// must copy them. A non-nil error from emit (or a cancelled ctx) stops the
-// remaining workers.
+// StreamTo generates the graph with np workers into a composable sink,
+// filling a reusable per-worker edge buffer directly in the inner B-triple ×
+// C loop and handing it to the sink once per batchSize edges (batchSize <= 0
+// selects DefaultBatchSize). The context is checked once per batch, and the
+// removed self-loop costs no per-edge test: every triple's fan-out is a
+// straight fill, and the single B triple whose block contains the loop is
+// filled in two pieces around the loop's entry. WriteBatch is called concurrently from np goroutines with
+// deterministic per-worker batch order; the sink owns each batch only until
+// WriteBatch returns, so a sink that retains edges beyond the call must copy
+// them. A non-nil error from the sink (or a cancelled ctx) stops the
+// remaining workers. Tee the sink to consume one pass K ways — stream to an
+// edge writer, count, and checksum simultaneously; wrap a bare callback in
+// pipeline.Func. When the pass ends — success, sink error, or cancellation —
+// the sink is closed exactly once, so consumers blocked on a sink's output
+// always observe end-of-stream; the close error is returned only when
+// generation itself succeeded.
 //
 // Band-order guarantee: because B is CSC-sorted and C row-major-sorted (see
 // New), each worker emits any given global row's entries in strictly
@@ -163,111 +167,170 @@ const (
 // precede worker p+1's in column order. Concatenating the workers' streams
 // row by row in worker order therefore yields canonical sorted CSR rows
 // with no comparison sort — the property sparse.CSRBuilder exploits.
-func (g *Generator) StreamBatches(ctx context.Context, np, batchSize int, emit func(p int, batch []Edge) error) error {
-	return g.StreamTo(ctx, np, batchSize, pipeline.Func(emit))
-}
-
-// StreamTo generates the graph with np workers into a composable sink — the
-// pipeline-native face of StreamBatches (which is this method over a
-// pipeline.Func adapter). Every StreamBatches guarantee holds: batch reuse
-// (the sink owns each batch only until WriteBatch returns), one context
-// check per batch, the band-order property, and concurrent per-worker
-// delivery. Tee the sink to consume one pass K ways — stream to an edge
-// writer, count, and checksum simultaneously. When the pass ends — success,
-// sink error, or cancellation — the sink is closed exactly once, so
-// consumers blocked on a sink's output always observe end-of-stream; the
-// close error is returned only when generation itself succeeded.
 //
 // A sink composition that is block-capable (pipeline.BlockSink — every
 // constituent opted in) and a C side large enough to amortize the template
-// render switch the pass to the block-replay engine: per worker, the
-// C-block's delta template is rendered once per distinct B value and each
-// B-triple crosses the sink as one WriteBlockRun instead of cnnz/batchSize
-// batches. Edge order, the band-order guarantee, and the Close contract are
-// identical either way.
+// render switch the pass to block replay: per worker, the C-block's delta
+// template is rendered once per distinct B value and each B-triple crosses
+// the sink as one WriteBlockRun instead of cnnz/batchSize batches. Edge
+// order, the band-order guarantee, and the Close contract are identical
+// either way.
 func (g *Generator) StreamTo(ctx context.Context, np, batchSize int, sink pipeline.Sink) error {
-	var err error
-	if bs, ok := sink.(pipeline.BlockSink); ok && g.c.NNZ() >= minReplayBlockEdges {
-		err = g.streamBlockRange(ctx, 0, g.b.NNZ(), np, batchSize, bs)
-	} else {
-		err = g.streamBRange(ctx, 0, g.b.NNZ(), np, batchSize, sink.WriteBatch)
-	}
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return g.streamRange(ctx, 0, g.b.NNZ(), np, batchSize, sink)
 }
 
-// streamBRange is the engine behind StreamBatches and StreamShard: it
-// generates the edges of B triples [bLo, bHi) (CSC order) × C with np
-// workers, each owning a contiguous slice of the range. All of StreamBatches'
-// guarantees — batch reuse, per-batch context checks, the band-order property
-// — hold within the range, because a sub-range of CSC-sorted triples is
-// itself CSC-sorted.
-func (g *Generator) streamBRange(ctx context.Context, bLo, bHi, np, batchSize int, emit func(p int, batch []Edge) error) error {
+// minReplayBlockEdges gates block replay: below this C fan-out a template
+// render plus a WriteBlockRun per B-triple costs about as much as just
+// generating the handful of edges, so tiny C sides stay on the batch path.
+const minReplayBlockEdges = 8
+
+// ownsLoop reports whether the B triple whose block starts at global
+// (rBase, cBase) contains the removed self-loop. At most one triple does —
+// the loop's coordinates pin both its B row and B column — and with no loop
+// (loopRow = -1) none does, since block offsets are non-negative.
+func (g *Generator) ownsLoop(rBase, cBase int64) bool {
+	loop := g.loopRow
+	return loop >= rBase && loop < rBase+int64(g.c.NumRows) &&
+		loop >= cBase && loop < cBase+int64(g.c.NumCols)
+}
+
+// streamRange is the one generation engine behind every public entry point:
+// it generates the edges of B triples [bLo, bHi) (CSC order) × C with np
+// workers, each owning a contiguous slice of the range, into sink, and then
+// closes the sink once. Callers pass a valid range (shard entry points run
+// checkShard first). All of StreamTo's guarantees hold within the range,
+// because a sub-range of CSC-sorted triples is itself CSC-sorted. The
+// batch-or-replay choice is made once per pass; the loop-owning triple's
+// block differs from every other, so it always takes the batch fill, around
+// its one removed entry.
+func (g *Generator) streamRange(ctx context.Context, bLo, bHi, np, batchSize int, sink pipeline.Sink) (err error) {
+	defer func() {
+		if cerr := sink.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
-	}
-	if bLo < 0 || bHi < bLo || bHi > g.b.NNZ() {
-		return fmt.Errorf("gen: B-triple range [%d, %d) outside [0, %d)", bLo, bHi, g.b.NNZ())
 	}
 	parts, err := parallel.Partition(bHi-bLo, np)
 	if err != nil {
 		return err
 	}
+	blocks, replay := sink.(pipeline.BlockSink)
+	replay = replay && g.c.NNZ() >= minReplayBlockEdges
 	mC := int64(g.c.NumRows)
 	nC := int64(g.c.NumCols)
-	loop := g.loopRow
 	return parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
-		buf := make([]Edge, 0, batchSize)
-		flush := func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := emit(p, buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-			return nil
-		}
-		cEdges := g.cEdges
+		w := worker{ctx: ctx, sink: sink, blocks: blocks, p: p, batchSize: batchSize,
+			buf: make([]Edge, 0, batchSize)}
 		for _, tb := range g.b.Tr[bLo+parts[p].Lo : bLo+parts[p].Hi] {
 			rBase := int64(tb.Row) * mC
 			cBase := int64(tb.Col) * nC
-			vB := tb.Val
-			if loop >= rBase && loop < rBase+mC && loop >= cBase && loop < cBase+nC {
-				// This triple's block contains the removed self-loop: keep
-				// the per-edge skip test (loop >= 0 is implied — both block
-				// ranges are non-negative).
-				for _, ce := range cEdges {
-					row := rBase + ce.Row
-					col := cBase + ce.Col
-					if row == loop && col == loop {
-						continue
-					}
-					buf = append(buf, Edge{Row: row, Col: col, Val: vB * ce.Val})
-					if len(buf) == batchSize {
-						if err := flush(); err != nil {
-							return err
-						}
-					}
+			var err error
+			switch ownsLoop := g.ownsLoop(rBase, cBase); {
+			case replay && !ownsLoop:
+				err = w.replay(g.cEdges, rBase, cBase, tb.Val)
+			case ownsLoop:
+				k := g.loopEntry(rBase, cBase)
+				if err = w.fill(g.cEdges[:k], rBase, cBase, tb.Val); err == nil {
+					err = w.fill(g.cEdges[k+1:], rBase, cBase, tb.Val)
 				}
-				continue
+			default:
+				err = w.fill(g.cEdges, rBase, cBase, tb.Val)
 			}
-			for _, ce := range cEdges {
-				buf = append(buf, Edge{Row: rBase + ce.Row, Col: cBase + ce.Col, Val: vB * ce.Val})
-				if len(buf) == batchSize {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
+			if err != nil {
+				return err
 			}
 		}
-		if len(buf) > 0 {
-			return flush()
-		}
-		return nil
+		return w.flush(w.buf)
 	})
+}
+
+// loopEntry returns the index in cEdges of the removed self-loop's entry
+// within the loop-owning triple's block at (rBase, cBase). The design's
+// loop is a product of every factor's loop, so C always holds it.
+func (g *Generator) loopEntry(rBase, cBase int64) int {
+	return slices.IndexFunc(g.cEdges, func(ce Edge) bool {
+		return rBase+ce.Row == g.loopRow && cBase+ce.Col == g.loopRow
+	})
+}
+
+// worker is one engine worker's state for a pass: its pending edge batch
+// and, in replay mode, its rendered C-block template.
+type worker struct {
+	ctx       context.Context
+	sink      pipeline.Sink
+	blocks    pipeline.BlockSink // the sink's block face, used in replay mode
+	p         int
+	batchSize int
+	buf       []Edge // pending edges; in replay mode only the loop-owning triple fills it
+	tmpl      *graphio.DeltaBlockTemplate
+	tmplVal   int64
+	scaled    []Edge // C's edges with vals × the current B value, when ≠ 1
+}
+
+// flush hands a non-empty batch to the sink after a context check, then
+// keeps the buffer, emptied, for reuse.
+func (w *worker) flush(buf []Edge) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	if err := w.ctx.Err(); err != nil {
+		return err
+	}
+	if err := w.sink.WriteBatch(w.p, buf); err != nil {
+		return err
+	}
+	w.buf = buf[:0]
+	return nil
+}
+
+// fill appends block's edges at block offset (rBase, cBase), values scaled
+// by vB, to the batch, flushing each full batch.
+func (w *worker) fill(block []Edge, rBase, cBase, vB int64) error {
+	buf := w.buf
+	for _, ce := range block {
+		buf = append(buf, Edge{Row: rBase + ce.Row, Col: cBase + ce.Col, Val: vB * ce.Val})
+		if len(buf) == w.batchSize {
+			if err := w.flush(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	w.buf = buf
+	return nil
+}
+
+// replay hands one B triple to the sink as a single block run of block at
+// (rBase, cBase), re-rendering the template only when the B value vB
+// changes. Pending batch edges — the loop-owning triple's tail — are flushed
+// first, keeping per-worker edge order exact.
+func (w *worker) replay(block []Edge, rBase, cBase, vB int64) error {
+	if err := w.flush(w.buf); err != nil {
+		return err
+	}
+	if err := w.ctx.Err(); err != nil {
+		return err
+	}
+	if w.tmpl == nil || vB != w.tmplVal {
+		if w.tmpl == nil {
+			w.tmpl = new(graphio.DeltaBlockTemplate)
+		}
+		if vB != 1 {
+			if w.scaled == nil {
+				w.scaled = make([]Edge, len(block))
+			}
+			for i, ce := range block {
+				ce.Val *= vB
+				w.scaled[i] = ce
+			}
+			block = w.scaled
+		}
+		w.tmpl.Render(block)
+		w.tmplVal = vB
+	}
+	return w.blocks.WriteBlockRun(w.p, pipeline.BlockRun{T: w.tmpl, RowBase: rBase, ColBase: cBase})
 }
 
 // Stream generates the graph with np workers, calling emit once per edge.
@@ -275,134 +338,30 @@ func (g *Generator) streamBRange(ctx context.Context, bLo, bHi, np, batchSize in
 // removed self-loop is skipped. emit is invoked concurrently from np
 // goroutines and must be safe for the worker index it receives; edges arrive
 // in deterministic per-worker order. Cancellation is cooperative: Stream is
-// implemented on StreamBatches with an internal batch, so each worker checks
-// ctx once per CompatBatchSize edges and stops with ctx.Err() once it is
-// cancelled. A non-nil error from emit cancels the remaining workers. This
-// is the convenience per-edge view of StreamBatches — rate-sensitive
-// consumers should use StreamBatches directly and skip the per-edge
-// callback.
+// StreamTo over an internal batch, so each worker checks ctx once per
+// CompatBatchSize edges and stops with ctx.Err() once it is cancelled. A
+// non-nil error from emit cancels the remaining workers. This is the
+// convenience per-edge view of StreamTo — rate-sensitive consumers should
+// use StreamTo directly and skip the per-edge callback.
 func (g *Generator) Stream(ctx context.Context, np int, emit func(worker int, e Edge) error) error {
-	return g.StreamBatches(ctx, np, CompatBatchSize, func(p int, batch []Edge) error {
+	return g.StreamTo(ctx, np, CompatBatchSize, pipeline.Func(func(p int, batch []Edge) error {
 		for _, e := range batch {
 			if err := emit(p, e); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}))
 }
 
-// CountEdges generates the whole graph with np workers, computing every
-// global coordinate but discarding the edges, and returns the total emitted.
-// This is the honest "edges generated per second" workload of Figure 3: the
-// full index arithmetic runs; only the store is elided. The returned
-// checksum deters dead-code elimination in benchmarks. CountEdges and
-// CountShard run the identical engine (countBRange), so their rates compare
-// apples-to-apples and the shard-checksum invariant — XOR of per-shard
-// checksums equals the whole-graph checksum — rests on one fold, not two
-// copies of it. Cancellation is checked once per B triple; a cancelled ctx
-// returns ctx.Err().
-func (g *Generator) CountEdges(ctx context.Context, np int) (total int64, checksum int64, err error) {
-	return g.countBRange(ctx, 0, g.b.NNZ(), np)
-}
-
-// CountEdgesBaseline is the retired inner loop kept verbatim as the
-// measurement baseline for the hoisted engine (the strconvTSVWriter
-// pattern): C's triples are read as stored — per-edge int→int64 widening of
-// both coordinates and the row/column block offsets recomputed by multiply
-// per edge (`ib*mC + ic`), the work countBRange now hoists into the
-// per-B-triple bases and the pre-widened cEdges slice. kronbench fig3
-// records live-vs-baseline as rowBaseHoistSpeedup; it is not for production
-// use.
-func (g *Generator) CountEdgesBaseline(ctx context.Context, np int) (total, checksum int64, err error) {
-	parts, err := parallel.Partition(g.b.NNZ(), np)
-	if err != nil {
-		return 0, 0, err
-	}
-	counts := make([]int64, np)
-	sums := make([]int64, np)
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
-	err = parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
-		var n, s int64
-		cTr := g.c.Tr
-		loop := g.loopRow
-		for _, tb := range g.b.Tr[parts[p].Lo:parts[p].Hi] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, tc := range cTr {
-				row := int64(tb.Row)*mC + int64(tc.Row)
-				col := int64(tb.Col)*nC + int64(tc.Col)
-				if row == loop && col == loop {
-					continue
-				}
-				n++
-				s ^= row*31 + col
-			}
-		}
-		counts[p] = n
-		sums[p] = s
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for p := 0; p < np; p++ {
-		total += counts[p]
-		checksum ^= sums[p]
-	}
-	return total, checksum, nil
-}
-
-// countBRange enumerates the edges of B triples [bLo, bHi) × C with np
-// workers, counting and checksum-folding instead of storing — the count
-// analogue of streamBRange. The context is checked once per B triple
-// (cheaper than the fan-out it gates).
-func (g *Generator) countBRange(ctx context.Context, bLo, bHi, np int) (total, checksum int64, err error) {
-	if bLo < 0 || bHi < bLo || bHi > g.b.NNZ() {
-		return 0, 0, fmt.Errorf("gen: B-triple range [%d, %d) outside [0, %d)", bLo, bHi, g.b.NNZ())
-	}
-	parts, err := parallel.Partition(bHi-bLo, np)
-	if err != nil {
-		return 0, 0, err
-	}
-	counts := make([]int64, np)
-	sums := make([]int64, np)
-	mC := int64(g.c.NumRows)
-	nC := int64(g.c.NumCols)
-	err = parallel.RunContext(ctx, np, func(ctx context.Context, p int) error {
-		var n, s int64
-		cEdges := g.cEdges
-		loop := g.loopRow
-		for _, tb := range g.b.Tr[bLo+parts[p].Lo : bLo+parts[p].Hi] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rBase := int64(tb.Row) * mC
-			cBase := int64(tb.Col) * nC
-			for _, ce := range cEdges {
-				row := rBase + ce.Row
-				col := cBase + ce.Col
-				if row == loop && col == loop {
-					continue
-				}
-				n++
-				s ^= row*31 + col
-			}
-		}
-		counts[p] = n
-		sums[p] = s
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for p := 0; p < np; p++ {
-		total += counts[p]
-		checksum ^= sums[p]
-	}
-	return total, checksum, nil
+// CountEdges generates the whole graph with np workers and returns the
+// number of edges emitted and their XOR checksum — the exact values a
+// streamed copy must reconcile against. It is CountShard over the whole
+// graph as one shard, so the shard-checksum invariant — XOR of per-shard
+// checksums equals the whole-graph checksum — rests on one fold over one
+// engine. A cancelled ctx returns ctx.Err().
+func (g *Generator) CountEdges(ctx context.Context, np int) (total, checksum int64, err error) {
+	return g.CountShard(ctx, ShardInfo{Shards: 1, BHi: g.b.NNZ()}, np)
 }
 
 // Part is one worker's materialized output: the local matrix Ap built from

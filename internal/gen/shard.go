@@ -16,8 +16,7 @@ import (
 // C fan-out a single process generates independently. A plan is a pure
 // function of (design, split, shard count) — Section V's zero-communication
 // property means the shards never coordinate, and concatenating their
-// streams in shard order reproduces the full StreamBatches stream
-// edge-for-edge.
+// streams in shard order reproduces the full StreamTo stream edge-for-edge.
 type ShardInfo struct {
 	// Shard is this shard's index in [0, Shards).
 	Shard int `json:"shard"`
@@ -72,9 +71,7 @@ func (g *Generator) loopTripleIndex() int {
 	mC := int64(g.c.NumRows)
 	nC := int64(g.c.NumCols)
 	for i, tb := range g.b.Tr {
-		rBase := int64(tb.Row) * mC
-		cBase := int64(tb.Col) * nC
-		if g.loopRow >= rBase && g.loopRow < rBase+mC && g.loopRow >= cBase && g.loopRow < cBase+nC {
+		if g.ownsLoop(int64(tb.Row)*mC, int64(tb.Col)*nC) {
 			return i
 		}
 	}
@@ -120,36 +117,21 @@ func PlanDesignShards(d *core.Design, nb, shards int) ([]ShardInfo, error) {
 	return planShards(bnnz, cnnz, loopTriple, shards)
 }
 
-// StreamShard generates exactly one shard's edge range with np workers — the
-// multi-process face of StreamBatches. Within the shard every StreamBatches
-// guarantee holds (batch reuse, per-batch cancellation, band order), and
-// concatenating all of a plan's shard streams in (shard, worker) order is
-// edge-identical to one full StreamBatches run: both enumerate B's CSC
-// triples in order against row-major C.
-func (g *Generator) StreamShard(ctx context.Context, s ShardInfo, np, batchSize int, emit func(p int, batch []Edge) error) error {
-	return g.StreamShardTo(ctx, s, np, batchSize, pipeline.Func(emit))
-}
-
-// StreamShardTo generates exactly one shard's edge range into a composable
-// sink — StreamTo's shard face, and the engine behind StreamShard (which is
-// this method over a pipeline.Func adapter). The sink is closed exactly once
-// when the pass ends, on success and failure alike; the close error is
-// returned only when generation itself succeeded. Block-capable sinks take
-// the block-replay engine under the same conditions as StreamTo; shard
-// concatenation stays edge-identical because both engines follow CSC order.
+// StreamShardTo generates exactly one shard's edge range with np workers
+// into a composable sink — StreamTo's multi-process face. Within the shard
+// every StreamTo guarantee holds (batch reuse, per-batch cancellation, band
+// order, block replay for block-capable sinks), and concatenating all of a
+// plan's shard streams in (shard, worker) order is edge-identical to one full
+// StreamTo run: both enumerate B's CSC triples in order against row-major C.
+// The sink is closed exactly once when the pass ends, on success and failure
+// alike — a shard rejected by checkShard included; the close error is
+// returned only when generation itself succeeded.
 func (g *Generator) StreamShardTo(ctx context.Context, s ShardInfo, np, batchSize int, sink pipeline.Sink) error {
-	err := g.checkShard(s)
-	if err == nil {
-		if bs, ok := sink.(pipeline.BlockSink); ok && g.c.NNZ() >= minReplayBlockEdges {
-			err = g.streamBlockRange(ctx, s.BLo, s.BHi, np, batchSize, bs)
-		} else {
-			err = g.streamBRange(ctx, s.BLo, s.BHi, np, batchSize, sink.WriteBatch)
-		}
+	if err := g.checkShard(s); err != nil {
+		_ = sink.Close() // the shard error takes precedence
+		return err
 	}
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return g.streamRange(ctx, s.BLo, s.BHi, np, batchSize, sink)
 }
 
 // checkShard validates a shard against this generator's workload, so a plan
@@ -166,16 +148,24 @@ func (g *Generator) checkShard(s ShardInfo) error {
 	return nil
 }
 
-// CountShard enumerates one shard's edges with np workers, computing every
-// global coordinate but storing nothing, and returns the emitted count and
-// XOR checksum — the per-shard analogue of CountEdges (and the same engine:
-// countBRange), and the verification primitive a coordinator runs against a
-// worker's claimed output.
+// CountShard generates one shard's edges with np workers and returns the
+// emitted count and XOR checksum — the verification primitive a coordinator
+// runs against a worker's claimed output. It is StreamShardTo into
+// pipeline.Tee(Counter, Checksum): both folds are block-capable, so a C side
+// large enough for replay is counted and checksummed per rendered block in
+// closed form rather than per emitted edge.
 func (g *Generator) CountShard(ctx context.Context, s ShardInfo, np int) (total, checksum int64, err error) {
 	if err := g.checkShard(s); err != nil {
 		return 0, 0, err
 	}
-	return g.countBRange(ctx, s.BLo, s.BHi, np)
+	if np < 1 {
+		return 0, 0, fmt.Errorf("gen: worker count %d; need at least 1", np)
+	}
+	cnt, sum := pipeline.NewCounter(np), pipeline.NewChecksum(np)
+	if err := g.streamRange(ctx, s.BLo, s.BHi, np, 0, pipeline.Tee(cnt, sum)); err != nil {
+		return 0, 0, err
+	}
+	return cnt.Total(), sum.Sum(), nil
 }
 
 // ChecksumPlan fills every shard's Checksum by enumeration (np workers per

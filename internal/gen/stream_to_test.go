@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/sparse"
 	"repro/internal/star"
 )
@@ -29,31 +30,31 @@ func collectPerEdge(t *testing.T, g *Generator, np int) map[Edge]int {
 	return seen
 }
 
-// collectBatches gathers StreamBatches' edge multiset at the given batch
-// size.
+// collectBatches gathers the edge multiset StreamTo delivers to a
+// batch-only sink at the given batch size.
 func collectBatches(t *testing.T, g *Generator, np, batchSize int) map[Edge]int {
 	t.Helper()
 	var mu sync.Mutex
 	seen := make(map[Edge]int)
-	err := g.StreamBatches(context.Background(), np, batchSize, func(p int, batch []Edge) error {
+	err := g.StreamTo(context.Background(), np, batchSize, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		for _, e := range batch {
 			seen[e]++
 		}
 		mu.Unlock()
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return seen
 }
 
-// TestStreamBatchesParity proves the batch-native path emits exactly the
+// TestStreamToBatchParity proves the batch-native path emits exactly the
 // same edge multiset as the per-edge Stream across loop modes (exercising
-// the hoisted self-loop skip), splits, worker counts, and batch sizes that
-// land on and off batch boundaries.
-func TestStreamBatchesParity(t *testing.T) {
+// the fill around the removed self-loop), splits, worker counts, and batch
+// sizes that land on and off batch boundaries.
+func TestStreamToBatchParity(t *testing.T) {
 	cases := []struct {
 		pts  []int
 		loop star.LoopMode
@@ -89,17 +90,17 @@ func TestStreamBatchesParity(t *testing.T) {
 	}
 }
 
-// TestStreamBatchesBatchShape checks batch granularity: every worker's
+// TestStreamToBatchShape checks batch granularity: every worker's
 // batches are full except possibly its last, and per-worker totals cover
 // the whole graph.
-func TestStreamBatchesBatchShape(t *testing.T) {
+func TestStreamToBatchShape(t *testing.T) {
 	_, g := mustGen(t, []int{3, 4, 5}, star.LoopHub, 2)
 	const bs = 64
 	np := 3
 	var mu sync.Mutex
 	short := make([]int, np) // undersized batches seen per worker
 	total := int64(0)
-	err := g.StreamBatches(context.Background(), np, bs, func(p int, batch []Edge) error {
+	err := g.StreamTo(context.Background(), np, bs, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if len(batch) == 0 || len(batch) > bs {
@@ -112,7 +113,7 @@ func TestStreamBatchesBatchShape(t *testing.T) {
 		}
 		total += int64(len(batch))
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,21 +127,21 @@ func TestStreamBatchesBatchShape(t *testing.T) {
 	}
 }
 
-// TestStreamBatchesCancellation cancels from inside a batch callback and
+// TestStreamToCancellation cancels from inside a batch callback and
 // checks generation stops early with context.Canceled; run under -race in
 // CI, it also proves the reusable buffers stay worker-local.
-func TestStreamBatchesCancellation(t *testing.T) {
+func TestStreamToCancellation(t *testing.T) {
 	_, g := mustGen(t, []int{5, 9, 16}, star.LoopNone, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var emitted int64
 	var mu sync.Mutex
-	err := g.StreamBatches(ctx, 4, 32, func(p int, batch []Edge) error {
+	err := g.StreamTo(ctx, 4, 32, pipeline.Func(func(p int, batch []Edge) error {
 		mu.Lock()
 		emitted += int64(len(batch))
 		mu.Unlock()
 		cancel() // first batch from any worker cancels the run
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -151,17 +152,17 @@ func TestStreamBatchesCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamBatchesEmitErrorStopsPeers propagates a consumer error and
+// TestStreamToSinkErrorStopsPeers propagates a consumer error and
 // cancels the remaining workers, mirroring the per-edge contract.
-func TestStreamBatchesEmitErrorStopsPeers(t *testing.T) {
+func TestStreamToSinkErrorStopsPeers(t *testing.T) {
 	_, g := mustGen(t, []int{5, 9, 16}, star.LoopLeaf, 2)
 	sentinel := errors.New("sink full")
-	err := g.StreamBatches(context.Background(), 4, 16, func(p int, batch []Edge) error {
+	err := g.StreamTo(context.Background(), 4, 16, pipeline.Func(func(p int, batch []Edge) error {
 		if p == 1 {
 			return sentinel
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}

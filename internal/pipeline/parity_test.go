@@ -21,8 +21,8 @@ import (
 
 // TestTeeWriterByteParity pins the acceptance property of the pipeline
 // refactor: one StreamTo pass through Tee(Writer(TSV), Checksum, Counter)
-// produces TSV bytes identical to the pre-refactor per-callback
-// StreamBatches → WriteEdges loop, while the teed checksum equals
+// produces TSV bytes identical to a per-worker callback feeding
+// WriteEdges directly, while the teed checksum equals
 // CountEdges' and the XOR of the shard plan's checksums — generate once,
 // consume three ways, nothing changed on the wire.
 func TestTeeWriterByteParity(t *testing.T) {
@@ -47,16 +47,16 @@ func TestTeeWriterByteParity(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Reference: the pre-refactor per-callback form — each worker owns
-		// a TSV writer fed straight from the emit callback.
+		// Reference: the per-callback form — each worker owns a TSV writer
+		// fed straight from a bare emit callback.
 		refBufs := make([]bytes.Buffer, np)
 		refWriters := make([]*graphio.TSVEdgeWriter, np)
 		for p := range refWriters {
 			refWriters[p] = graphio.NewTSVEdgeWriter(&refBufs[p])
 		}
-		err = g.StreamBatches(context.Background(), np, batchSize, func(p int, batch []gen.Edge) error {
+		err = g.StreamTo(context.Background(), np, batchSize, pipeline.Func(func(p int, batch []gen.Edge) error {
 			return refWriters[p].WriteEdges(batch)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,8 @@
 // "generate once, consume K ways" a primitive instead of K bespoke paths:
 // gen.StreamTo drives any Sink, and Tee fans one generation pass out to
 // writers, counters, checksums, and the service's pooled hand-off at once.
+// The generator's own CountEdges, CountShard and RowDegrees are such folds
+// over its one engine.
 //
 // The sink contract:
 //
@@ -48,9 +50,9 @@ type Sink interface {
 	Close() error
 }
 
-// Func adapts a bare emit callback to a Sink with a no-op Close — the bridge
-// between the pipeline layer and the historical emit-callback APIs
-// (gen.StreamBatches is StreamTo over a Func).
+// Func adapts a bare emit callback to a Sink with a no-op Close — how a
+// caller streams into a plain per-batch function (gen.StreamTo over a Func).
+// A Func is batch-only, so a pass into one always emits edge batches.
 type Func func(p int, batch []Edge) error
 
 // WriteBatch invokes the callback.
@@ -158,9 +160,10 @@ type paddedInt64 struct {
 	_ [56]byte
 }
 
-// Counter is a fold Sink that counts streamed edges, reproducing
-// CountEdges' total from a live stream instead of a separate enumeration
-// pass. Each worker folds into its own padded slot; Total merges them.
+// Counter is a fold Sink that counts streamed edges — teed beside any
+// consumer, it reproduces CountEdges' total from the same pass (CountEdges
+// itself is a Counter and a Checksum over the generator's stream). Each
+// worker folds into its own padded slot; Total merges them.
 type Counter struct {
 	slots []paddedInt64
 }

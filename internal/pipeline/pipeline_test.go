@@ -20,7 +20,7 @@ func mkBatch(n int, base int64) []Edge {
 	return b
 }
 
-// foldChecksum is the reference fold from gen.countBRange.
+// foldChecksum is the reference XOR checksum fold (row·31 + col per edge).
 func foldChecksum(batches ...[]Edge) int64 {
 	var s int64
 	for _, b := range batches {

@@ -692,7 +692,7 @@ func (m *Manager) jobSink(j *Job) (pipeline.Sink, *pipeline.Checksum) {
 	// The progress fold is block-capable (a run's edge count is closed
 	// form), as is the checksum fold, so discard jobs — and streaming jobs
 	// whose consumer opted in via AttachRuns — take the generator's
-	// block-replay engine; any batch-only member (the plain pooled stream)
+	// block-replay mode; any batch-only member (the plain pooled stream)
 	// routes the whole tee back through batches.
 	progress := pipeline.BlockHandler(
 		func(p int, batch []kron.Edge) error { return record(int64(len(batch))) },

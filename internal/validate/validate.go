@@ -5,7 +5,7 @@
 //
 // The measurement engine is streaming and communication-free, mirroring the
 // generator it checks. Edges are never collected into a global triple slice
-// and never comparison-sorted. Instead, the engine rides gen.StreamBatches
+// and never comparison-sorted. Instead, the engine rides gen.StreamTo
 // twice:
 //
 //   - Pass 1 (measure in flight): each worker tallies its own edge count
@@ -17,7 +17,7 @@
 //     per-worker write cursors, let every worker scatter its band straight
 //     into the final CSR arrays with no locks and no sort (the generator's
 //     band-order guarantee makes each row arrive column-sorted; see
-//     gen.StreamBatches and sparse.CSRBuilder).
+//     gen.StreamTo and sparse.CSRBuilder).
 //
 // Triangles are then counted once each on the CSR by the same worker pool,
 // over a degree-ordered orientation built in place
@@ -176,14 +176,14 @@ func RunMaterialized(ctx context.Context, d *core.Design, nb, np int) (*Report, 
 	n := pred.Vertices.Int64()
 
 	buffers := make([][]sparse.Triple[int64], np)
-	err = g.StreamBatches(ctx, np, 0, func(w int, batch []gen.Edge) error {
+	err = g.StreamTo(ctx, np, 0, pipeline.Func(func(w int, batch []gen.Edge) error {
 		buf := buffers[w]
 		for _, e := range batch {
 			buf = append(buf, sparse.Triple[int64]{Row: int(e.Row), Col: int(e.Col), Val: e.Val})
 		}
 		buffers[w] = buf
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -63,3 +63,32 @@ func ExampleValidate() {
 	// exact agreement: true
 	// triangles: 15
 }
+
+// Stream a generated graph batch by batch into a plain callback. Each
+// worker counts into its own slot, so the callback needs no lock.
+func ExampleStreamTo() {
+	d, err := kron.FromPoints([]int{3, 4, 5}, kron.LoopHub)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := kron.NewGenerator(d, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const workers = 4
+	perWorker := make([]int64, workers)
+	err = kron.StreamTo(context.Background(), g, workers, 0, kron.SinkFunc(func(worker int, batch []kron.Edge) error {
+		perWorker[worker] += int64(len(batch))
+		return nil
+	}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	var total int64
+	for _, n := range perWorker {
+		total += n
+	}
+	fmt.Println("edges streamed:", total, "of", g.NumEdges())
+	// Output:
+	// edges streamed: 692 of 692
+}

@@ -14,10 +14,8 @@
 //
 //  2. Generate: realize the designed graph in parallel with no
 //     inter-worker communication; each worker owns an equal share of the
-//     edges.
-//
-//     g, _ := kron.NewGenerator(d, 6)
-//     g.StreamBatches(ctx, 8, 0, func(worker int, batch []kron.Edge) error { ... })
+//     edges and streams them batch by batch into a Sink (StreamTo, with a
+//     bare callback wrapped in SinkFunc — see ExampleStreamTo).
 //
 //  3. Validate: measure a generated graph and confirm exact agreement with
 //     the design.
@@ -85,15 +83,16 @@ type Generator = gen.Generator
 // Edge is one generated adjacency entry in global coordinates.
 type Edge = gen.Edge
 
-// DefaultStreamBatchSize is the per-worker batch size StreamBatches uses
-// when the caller passes batchSize <= 0.
+// DefaultStreamBatchSize is the per-worker batch size StreamTo and
+// StreamShardTo use when the caller passes batchSize <= 0.
 const DefaultStreamBatchSize = gen.DefaultBatchSize
 
 // NewGenerator splits the design after its first nb factors into A = B ⊗ C
 // and realizes both sides, ready to generate at any worker count. The
-// returned Generator's hot path is StreamBatches (cancellable, batch-native
-// — edges arrive in reusable per-worker []Edge batches); Stream is a
-// per-edge convenience layered on top of it.
+// returned Generator's hot path is StreamTo (cancellable, batch-native —
+// edges arrive in reusable per-worker []Edge batches, or as block runs for
+// block-capable sinks); Stream is a per-edge convenience layered on top of
+// it.
 func NewGenerator(d *Design, nb int) (*Generator, error) { return gen.New(d, nb) }
 
 // DefaultMaxCNNZ is the default bound on the C side's stored entries when a

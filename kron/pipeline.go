@@ -63,7 +63,7 @@ func PerWorker(sinks ...Sink) Sink { return pipeline.PerWorker(sinks...) }
 // worker via PerWorker — the byte stream is deterministic. When ew replays
 // blocks natively (a BlockRunWriter reporting ReplaysBlocks, i.e. the KRNB
 // delta encoder) the sink is block-capable and StreamTo switches to the
-// block-replay engine.
+// block-replay mode.
 func Writer(ew EdgeWriter) Sink { return pipeline.Writer(ew) }
 
 // BlockRun is one replay of a rendered block template at a block offset:
@@ -95,9 +95,10 @@ type TSVEdgeWriter = graphio.TSVEdgeWriter
 func NewTSVEdgeWriter(w io.Writer) *TSVEdgeWriter { return graphio.NewTSVEdgeWriter(w) }
 
 // StreamTo generates the graph with np workers into a composable sink —
-// the pipeline-native face of Generator.StreamBatches; batchSize <= 0
-// selects DefaultStreamBatchSize. The sink is closed exactly once when the
-// pass ends, on success and failure alike.
+// Generator.StreamTo as a function; batchSize <= 0 selects
+// DefaultStreamBatchSize. Wrap a bare per-batch callback in SinkFunc. The
+// sink is closed exactly once when the pass ends, on success and failure
+// alike.
 func StreamTo(ctx context.Context, g *Generator, np, batchSize int, sink Sink) error {
 	return g.StreamTo(ctx, np, batchSize, sink)
 }

@@ -20,12 +20,12 @@ type ShardInfo = gen.ShardInfo
 // coordinator or worker, that rebuilds it gets bitwise-identical ranges, so
 // K independent replicas can each pick their shard with no communication.
 // Per-shard Edges sum exactly to the design's edge count, and the
-// concatenation of all shards' StreamShard outputs equals one full
-// StreamBatches run edge-for-edge.
+// concatenation of all shards' StreamShardTo outputs equals one full
+// StreamTo run edge-for-edge.
 //
 // A realized Generator offers the same plan via its PlanShards method, plus
-// StreamShard to generate one shard, CountShard to enumerate-and-checksum
-// one shard, and ChecksumPlan to fill every shard's verification checksum.
+// StreamShardTo to generate one shard, CountShard to count and checksum one
+// shard, and ChecksumPlan to fill every shard's verification checksum.
 func PlanShards(d *Design, nb, shards int) ([]ShardInfo, error) {
 	return gen.PlanDesignShards(d, nb, shards)
 }
@@ -37,9 +37,9 @@ func PlanShards(d *Design, nb, shards int) ([]ShardInfo, error) {
 type ShardValidation = validate.ShardReport
 
 // ValidateShard measures exactly one shard of design d's plan (split after nb
-// factors) with np workers — the validation analogue of StreamShard. The cost
-// is proportional to the shard's edge share; triangle counting, which must
-// see the whole graph, is deferred to MergeValidation. The returned report's
+// factors) with np workers — the validation analogue of StreamShardTo. The
+// cost is proportional to the shard's edge share; triangle counting, which
+// must see the whole graph, is deferred to MergeValidation. The returned report's
 // MeasuredEdges and Checksum reconcile against the plan's closed-form Edges
 // and a generation run's checksum, so K validation processes can each check
 // their slice with no communication and a coordinator can confirm the union

@@ -16,8 +16,8 @@ func StreamTo(ctx context.Context, np int, sink Sink) error {
 	return nil
 }
 
-// StreamBatches threads ctx to an emit callback: clean.
-func StreamBatches(ctx context.Context, np int, emit func(p int, batch []Edge) error) error {
+// StreamEmit threads ctx to an emit callback: clean.
+func StreamEmit(ctx context.Context, np int, emit func(p int, batch []Edge) error) error {
 	return nil
 }
 

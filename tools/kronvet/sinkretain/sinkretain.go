@@ -72,7 +72,7 @@ func run(pass *analysis.Pass) (any, error) {
 			decl = fn.Name.Name
 			body, ftype = fn.Body, fn.Type
 		case *ast.FuncLit:
-			// Anonymous emit callbacks (gen.StreamBatches' argument) and
+			// Anonymous emit callbacks (pipeline.Func literals) and
 			// BlockHandler run callbacks carry the same reuse contracts;
 			// require the house Edge / BlockRun type names so unrelated
 			// func(int, []byte) error shapes are not flagged.
