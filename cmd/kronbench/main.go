@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"time"
 
 	"repro/internal/cliutil"
@@ -405,17 +403,11 @@ func fig3(maxWorkers int) error {
 	// Wire formats: encoder throughput over a real band-ordered prefix of
 	// this workload's stream — the component cost of putting edges on the
 	// wire, measured against the count-only full-process rate (the
-	// stream-to-wire gap). TSV runs against its retired strconv encoder to
-	// isolate the two-digit-LUT formatter; the binary encodings are the KRNB
-	// format's compact (delta-varint) and memory-speed (fixed-width, batches
-	// written as single copies) payloads.
+	// stream-to-wire gap). TSV uses the two-digit-LUT formatter (its
+	// strconv baseline is graphio's BenchmarkWireTSVStrconv); the binary
+	// encodings are the KRNB format's compact (delta-varint) and
+	// memory-speed (fixed-width, batches written as single copies) payloads.
 	sample, err := sampleEdges(g, 1<<20)
-	if err != nil {
-		return err
-	}
-	tsvStrconvRate, err := benchWire(sample, func() (graphio.EdgeWriter, error) {
-		return newStrconvTSVWriter(io.Discard), nil
-	})
 	if err != nil {
 		return err
 	}
@@ -451,14 +443,11 @@ func fig3(maxWorkers int) error {
 	deltaRatio := replayRate / fullRate
 	fmt.Printf("\nwire-format encoder throughput (%d-edge band-ordered sample):\n", len(sample))
 	fmt.Printf("%-14s %-14s\n", "format", "edges/s")
-	fmt.Printf("%-14s %-14.3e (strconv baseline)\n", "tsv/strconv", tsvStrconvRate)
-	fmt.Printf("%-14s %-14.3e (%.2fx strconv)\n", "tsv", tsvRate, tsvRate/tsvStrconvRate)
+	fmt.Printf("%-14s %-14.3e (two-digit LUT formatter)\n", "tsv", tsvRate)
 	fmt.Printf("%-14s %-14.3e (per-edge encode)\n", "bin/delta", binDeltaRate)
 	fmt.Printf("%-14s %-14.3e (count-only rate / wire rate = %.2f)\n", "bin/fixed", binFixedRate, wireToCount)
 	fmt.Printf("%-14s %-14.3e (end-to-end generate+encode, %.2fx count rate)\n", "bin/replay", replayRate, deltaRatio)
-	recordBench("tsvStrconvWireEdgesPerSec", tsvStrconvRate)
 	recordBench("tsvWireEdgesPerSec", tsvRate)
-	recordBench("tsvLUTSpeedup", tsvRate/tsvStrconvRate)
 	recordBench("binDeltaWireEdgesPerSec", binDeltaRate)
 	recordBench("binWireEdgesPerSec", binFixedRate)
 	recordBench("wireToCountRatio", wireToCount)
@@ -470,7 +459,6 @@ func fig3(maxWorkers int) error {
 	// series crosses the sink in C-block units.
 	gmp := runtime.GOMAXPROCS(0)
 	recordBench("wireSeries", []wireSeries{
-		{Series: "tsvStrconv", EdgesPerSec: tsvStrconvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "tsv", EdgesPerSec: tsvRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binDelta", EdgesPerSec: binDeltaRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
 		{Series: "binFixed", EdgesPerSec: binFixedRate, Gomaxprocs: gmp, BatchEdges: len(sample)},
@@ -602,53 +590,6 @@ func benchReplayWire(g *gen.Generator) (float64, error) {
 	return float64(n) / time.Since(start).Seconds(), nil
 }
 
-// strconvTSVWriter is the retired strconv.AppendInt TSV encoder, kept
-// verbatim as the baseline the LUT formatter's speedup is measured against.
-type strconvTSVWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-}
-
-func newStrconvTSVWriter(w io.Writer) *strconvTSVWriter {
-	return &strconvTSVWriter{bw: bufio.NewWriter(w), buf: make([]byte, 0, 64)}
-}
-
-func (t *strconvTSVWriter) WriteEdge(row, col, val int64) error {
-	return t.WriteEdges([]gen.Edge{{Row: row, Col: col, Val: val}})
-}
-
-func (t *strconvTSVWriter) WriteEdges(batch []gen.Edge) error {
-	const chunk = 1 << 14
-	b := t.buf[:0]
-	for _, e := range batch {
-		b = strconv.AppendInt(b, e.Row, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, e.Col, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, e.Val, 10)
-		b = append(b, '\n')
-		if len(b) >= chunk {
-			if _, err := t.bw.Write(b); err != nil {
-				return err
-			}
-			b = b[:0]
-		}
-	}
-	t.buf = b[:0]
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := t.bw.Write(b)
-	return err
-}
-
-func (t *strconvTSVWriter) Comment(text string) error {
-	_, err := fmt.Fprintf(t.bw, "# %s\n", text)
-	return err
-}
-
-func (t *strconvTSVWriter) Flush() error { return t.bw.Flush() }
-
 // fig4 reproduces Figure 4: the trillion-edge hub-loop design's exact
 // properties, plus an exact predicted-vs-measured validation on a reduced
 // design exercising the identical code path.
@@ -678,35 +619,31 @@ func fig4(maxWorkers int) error {
 
 	// Validation-throughput benchmark: edges measured per second through
 	// the full predicted-vs-measured pipeline (generate, degree-merge, CSR,
-	// the degree-ordered triangle count) on a larger hub-loop workload. The
-	// streaming engine is compared against the materialized sort-and-dedupe
-	// baseline at one worker, then swept across worker counts.
+	// the degree-ordered triangle count) on a larger hub-loop workload,
+	// swept across worker counts. (The retired materialized engine's rate
+	// and speedup are frozen in the committed BENCH_fig4.json.)
 	bd, err := kron.FromPoints([]int{3, 4, 5, 9, 16}, kron.LoopHub)
 	if err != nil {
 		return err
 	}
 	const benchSplit = 3
-	start := time.Now()
-	mrep, err := validate.RunMaterialized(context.Background(), bd, benchSplit, 1)
-	if err != nil {
-		return err
-	}
-	matRate := float64(mrep.MeasuredEdges) / time.Since(start).Seconds()
-	fmt.Printf("\nvalidation throughput, %d-edge hub workload %v:\n", mrep.MeasuredEdges, bd)
+	fmt.Printf("\nvalidation throughput, hub workload %v:\n", bd)
 	fmt.Printf("%-24s %-10s %-14s %s\n", "engine", "workers", "edges/s", "exact")
-	fmt.Printf("%-24s %-10d %-14.3e %v\n", "materialized (baseline)", 1, matRate, mrep.ExactAgreement)
 	var valScaling []parallel.ScalingPoint
 	singleRate := 0.0
+	var valEdges int64
+	streamingExact := r.ExactAgreement
 	for np := 1; np <= maxWorkers; np *= 2 {
-		start = time.Now()
+		start := time.Now()
 		srep, err := validate.Run(context.Background(), bd, benchSplit, np)
 		if err != nil {
 			return err
 		}
 		rate := float64(srep.MeasuredEdges) / time.Since(start).Seconds()
 		if np == 1 {
-			singleRate = rate
+			singleRate, valEdges = rate, srep.MeasuredEdges
 		}
+		streamingExact = streamingExact && srep.ExactAgreement
 		pt := measuredPoint(np, rate)
 		valScaling = append(valScaling, pt)
 		engine := "streaming"
@@ -715,12 +652,10 @@ func fig4(maxWorkers int) error {
 		}
 		fmt.Printf("%-24s %-10d %-14.3e %v\n", engine, np, rate, srep.ExactAgreement)
 	}
-	fmt.Printf("single-worker streaming vs materialized: %.2fx\n", singleRate/matRate)
-	recordBench("validationEdges", mrep.MeasuredEdges)
-	recordBench("materializedEdgesPerSec", matRate)
+	recordBench("validationEdges", valEdges)
 	recordBench("streamingEdgesPerSec", singleRate)
-	recordBench("validationSpeedup", singleRate/matRate)
 	recordBench("streamingScaling", valScaling)
+	recordBench("streamingValidationExact", streamingExact)
 	recordBench("maxRealizableEdges", int64(validate.MaxRealizableEdges))
 
 	// Shard-native validation: one process measuring the whole design vs K=4
@@ -742,7 +677,7 @@ func fig4(maxWorkers int) error {
 	if err != nil {
 		return err
 	}
-	start = time.Now()
+	start := time.Now()
 	fullShard, err := kron.ValidateShard(context.Background(), bd, benchSplit, 1, fullPlan[0])
 	if err != nil {
 		return err
@@ -784,7 +719,7 @@ func fig4(maxWorkers int) error {
 	// triangle estimate — the interactive check for designs whose exact count
 	// would take minutes.
 	start = time.Now()
-	samp, err := kron.ValidateSampled(context.Background(), bd, benchSplit, maxWorkers, kron.SampleOptions{})
+	samp, err := kron.ValidateSampled(context.Background(), bd, benchSplit, maxWorkers)
 	if err != nil {
 		return err
 	}

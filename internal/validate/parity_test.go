@@ -2,7 +2,6 @@ package validate
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -56,18 +55,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 				t.Errorf("%v np=%d: agreement %v, materialized %v", d, np, got.ExactAgreement, want.ExactAgreement)
 			}
 		}
-	}
-}
-
-func TestRunCancelled(t *testing.T) {
-	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Run(ctx, d, 2, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 

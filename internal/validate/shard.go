@@ -3,18 +3,14 @@ package validate
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"reflect"
 	"slices"
 	"sort"
 
-	"repro/internal/bigdeg"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sparse"
-	"repro/internal/triangle"
 )
 
 // ShardReport is one shard's contribution to a design-level validation: the
@@ -56,7 +52,7 @@ type ShardReport struct {
 }
 
 // RunShard measures exactly one shard of the design's plan with np workers:
-// the same two passes as Run (tally in flight, then scatter into CSR), riding
+// the same two-pass CSR build as Run (tally in flight, then scatter), riding
 // gen.StreamShardTo over the shard's B-triple range instead of the whole
 // stream. The per-shard cost is the shard's edge share — no triangle
 // counting happens here, because triangles span shards; they are counted
@@ -68,41 +64,14 @@ type ShardReport struct {
 // ultimately merge into one design-sized CSR), so every shard of an
 // admissible design is admissible.
 func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) (*ShardReport, error) {
-	pred, err := d.Compute()
+	pred, g, err := prepare(d, nb)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkRealizable(pred); err != nil {
-		return nil, err
-	}
-	g, err := gen.New(d, nb)
-	if err != nil {
-		return nil, err
-	}
-	n := int(pred.Vertices.Int64())
-	builder, err := sparse.NewCSRBuilder[int64](n, n, np)
-	if err != nil {
-		return nil, err
-	}
-	// Pass 1 — tally the shard's band in flight, teeing the checksum fold
-	// off the same batches. Both sinks are per-worker-private folds, so the
-	// pass shares nothing across workers, like the full engine.
 	cks := pipeline.NewChecksum(np)
-	tally := pipeline.Instrument(obs.Stages.Stage(stageTally),
-		pipeline.Tee(tallySink{builder}, cks))
-	if err := g.StreamShardTo(ctx, s, np, 0, tally); err != nil {
-		return nil, err
-	}
-	if err := builder.Finalize(); err != nil {
-		return nil, err
-	}
-	// Pass 2 — replay the shard deterministically and scatter into the
-	// fragment through the prefix-summed cursors.
-	scatter := pipeline.Instrument(obs.Stages.Stage(stageScatter), scatterSink{builder})
-	if err := g.StreamShardTo(ctx, s, np, 0, scatter); err != nil {
-		return nil, err
-	}
-	frag, err := builder.Build()
+	frag, err := buildCSR(ctx, pred, np, cks, func(ctx context.Context, np, batchSize int, sink pipeline.Sink) error {
+		return g.StreamShardTo(ctx, s, np, batchSize, sink)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +80,7 @@ func RunShard(ctx context.Context, d *core.Design, nb, np int, s gen.ShardInfo) 
 		Split:         nb,
 		Workers:       np,
 		Shard:         s,
-		MeasuredEdges: int64(builder.NNZ()),
+		MeasuredEdges: int64(frag.NNZ()),
 		Checksum:      cks.Sum(),
 		frag:          frag,
 	}, nil
@@ -191,35 +160,5 @@ func Merge(ctx context.Context, reports []*ShardReport, np int) (*Report, error)
 		a = &sparse.CSR[int64]{NumRows: a.NumRows, NumCols: a.NumCols,
 			RowPtr: a.RowPtr, ColIdx: slices.Clone(a.ColIdx), Val: a.Val}
 	}
-
-	rep := &Report{
-		Design:             first.Design,
-		Workers:            np,
-		PredictedVertices:  pred.Vertices,
-		PredictedEdges:     pred.Edges,
-		PredictedTriangles: pred.Triangles,
-		PredictedDegrees:   pred.Degrees,
-	}
-	rep.MeasuredEdges = int64(a.NNZ())
-	hist, err := sparse.DegreeHistogramCSR(a.RowPtr, np)
-	if err != nil {
-		return nil, err
-	}
-	md := bigdeg.New()
-	var touched int64
-	for deg, cnt := range hist {
-		md.AddCount(big.NewInt(deg), big.NewInt(cnt))
-		touched += cnt
-	}
-	rep.MeasuredDegrees = md
-	rep.MeasuredVertices = touched
-
-	tri, err := triangle.CountOrientedCSR(ctx, a, np, obs.Stages.Stage(stageTriangles))
-	if err != nil {
-		return nil, err
-	}
-	rep.MeasuredTriangles = tri
-
-	rep.compare()
-	return rep, nil
+	return measure(ctx, first.Design, pred, a, np)
 }

@@ -2,11 +2,9 @@ package validate
 
 import (
 	"context"
-	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/bigdeg"
 	"repro/internal/core"
@@ -175,10 +173,11 @@ func TestMergeTwiceKeepsFragments(t *testing.T) {
 	}
 }
 
-// The sampled mode with Stride 1 evaluates every band, so its triangle
+// The sampled mode with stride 1 evaluates every band, so its triangle
 // "estimate" must equal the exact count and its exact side must match Run's;
-// with the default stride the exact side is still exact and the KS statistic
-// exactly 0 on a faithful generation.
+// with the default bands and stride, and with a coarse 32-band, stride-4
+// sample, the exact side is still exact and the KS statistic exactly 0 on a
+// faithful generation.
 func TestSampledAgreesWithExact(t *testing.T) {
 	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
 	if err != nil {
@@ -188,18 +187,19 @@ func TestSampledAgreesWithExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := RunSampled(context.Background(), d, 2, 2, SampleOptions{Stride: 1})
+	exact, err := runSampled(context.Background(), d, 2, 2, sampleBands, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact.SampledBands != exact.TotalBands {
-		t.Fatalf("Stride 1 sampled %d of %d bands", exact.SampledBands, exact.TotalBands)
+		t.Fatalf("stride 1 sampled %d of %d bands", exact.SampledBands, exact.TotalBands)
 	}
 	if got := int64(exact.EstimatedTriangles); got != want.MeasuredTriangles {
-		t.Errorf("Stride-1 estimate %d, exact count %d", got, want.MeasuredTriangles)
+		t.Errorf("stride-1 estimate %d, exact count %d", got, want.MeasuredTriangles)
 	}
-	for _, opt := range []SampleOptions{{}, {Bands: 32, Stride: 4}} {
-		s, err := RunSampled(context.Background(), d, 2, 2, opt)
+	type sample struct{ bands, stride int }
+	for _, opt := range []sample{{sampleBands, sampleStride}, {32, 4}} {
+		s, err := runSampled(context.Background(), d, 2, 2, opt.bands, opt.stride)
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
@@ -216,12 +216,9 @@ func TestSampledAgreesWithExact(t *testing.T) {
 		if !s.ExactAgreement {
 			t.Errorf("%+v: exact side disagreed: %v", opt, s.Mismatches)
 		}
-		if s.SampledBands >= s.TotalBands && opt.Stride != 1 {
+		if s.SampledBands >= s.TotalBands {
 			t.Errorf("%+v: sampled %d of %d bands — no work saved", opt, s.SampledBands, s.TotalBands)
 		}
-	}
-	if _, err := RunSampled(context.Background(), d, 2, 2, SampleOptions{Bands: -1, Stride: 2}); err == nil {
-		t.Error("negative Bands accepted")
 	}
 }
 
@@ -284,59 +281,5 @@ func TestCheckRealizableBoundary(t *testing.T) {
 		if err := checkRealizable(p); err == nil {
 			t.Errorf("%s vertices, %s edges accepted", p.Vertices, p.Edges)
 		}
-	}
-}
-
-// seamCtx is a context whose Err flips to Canceled on the second call. The
-// materialized engine consults the original context's Err exactly twice: once
-// at parallel.RunContext entry inside the stream (RunContext then derives its
-// own cancel context, so per-batch checks never reach this object), and once
-// at the post-stream seam added to fix the satellite-2 bug. Without that seam
-// check the second call never happens and the run completes — so this test
-// fails against the unfixed engine.
-type seamCtx struct {
-	context.Context
-	calls int
-}
-
-func (c *seamCtx) Err() error {
-	c.calls++
-	if c.calls >= 2 {
-		return context.Canceled
-	}
-	return nil
-}
-
-func (c *seamCtx) Done() <-chan struct{}       { return nil }
-func (c *seamCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *seamCtx) Value(key any) any           { return nil }
-
-// Satellite 2 regression: RunMaterialized must observe a cancellation that
-// lands between the stream draining and the serial measurement phase.
-func TestRunMaterializedCancelledAtSeam(t *testing.T) {
-	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &seamCtx{Context: context.Background()}
-	if _, err := RunMaterialized(ctx, d, 2, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled from the post-stream seam check", err)
-	}
-}
-
-// RunShard must stop within a batch of a pre-cancelled context, like Run.
-func TestRunShardCancelled(t *testing.T) {
-	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := gen.PlanDesignShards(d, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunShard(ctx, d, 2, 2, plan[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

@@ -5,28 +5,32 @@
 //
 // The measurement engine is streaming and communication-free, mirroring the
 // generator it checks. Edges are never collected into a global triple slice
-// and never comparison-sorted. Instead, the engine rides gen.StreamTo
-// twice:
+// and never comparison-sorted. Instead, one private engine (buildCSR) rides
+// a generation stream twice:
 //
-//   - Pass 1 (measure in flight): each worker tallies its own edge count
-//     and per-row degree counts over its contiguous B-column band while the
-//     edges are generated. Merging the bands yields the measured edge
-//     total, vertex count, and exact degree distribution — before a single
-//     edge is stored.
+//   - Pass 1 (measure in flight): each worker tallies its own per-row
+//     degree counts over its contiguous B-column band while the edges are
+//     generated. Merging the bands yields the row pointers — the measured
+//     edge total, vertex count, and exact degree distribution — before a
+//     single edge is stored.
 //   - Pass 2 (build CSR in parallel): the same tallies, prefix-summed into
 //     per-worker write cursors, let every worker scatter its band straight
 //     into the final CSR arrays with no locks and no sort (the generator's
 //     band-order guarantee makes each row arrive column-sorted; see
 //     gen.StreamTo and sparse.CSRBuilder).
 //
-// Triangles are then counted once each on the CSR by the same worker pool,
-// over a degree-ordered orientation built in place
-// (triangle.CountOrientedCSR); the design's closed-form count is the
-// oracle, so no second count runs. Peak memory is the CSR itself plus the
-// O(workers·vertices) tally tables and the count's O(vertices) row ends —
-// there is no materialized COO, no Dedupe clone, and no reflection sort
-// anywhere on the path, which is what lifts MaxRealizableEdges 8× over the
-// materialized engine.
+// One report step (measure) then reads edges, vertices and degrees off the
+// CSR and counts triangles once each by the same worker pool, over a
+// degree-ordered orientation built in place; the design's closed-form count
+// is the oracle, so no second count runs. Peak memory is the CSR itself
+// plus the O(workers·vertices) tally tables and the count's O(vertices) row
+// ends — there is no materialized COO, no Dedupe clone, and no reflection
+// sort anywhere on the path, which is what lifts MaxRealizableEdges 8× over
+// the retired materialized engine (kept as a test oracle).
+//
+// Run is that engine over the whole stream plus the report step; RunShard
+// keeps one shard's CSR as a fragment, which Merge concatenates before the
+// same report step; RunSampled replaces the exact count with an estimate.
 package validate
 
 import (
@@ -41,7 +45,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/semiring"
 	"repro/internal/sparse"
 	"repro/internal/triangle"
 )
@@ -99,34 +102,77 @@ const maxRealizableVertices = 1 << 31
 // generation passes stop within one batch and triangle counting within one
 // band stride of ctx cancelling, returning ctx's error.
 func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
-	pred, g, r, err := prepare(d, nb, np)
+	pred, g, err := prepare(d, nb)
 	if err != nil {
 		return nil, err
 	}
-	n := int(pred.Vertices.Int64())
+	a, err := buildCSR(ctx, pred, np, nil, g.StreamTo)
+	if err != nil {
+		return nil, err
+	}
+	return measure(ctx, d, pred, a, np)
+}
 
+// buildCSR is the two-pass engine of the package doc, shared by every entry
+// point: it realizes the edges of stream — g.StreamTo for the whole design,
+// or a closure over g.StreamShardTo for one shard — as a CSR over the
+// design's full vertex space, teeing the tally pass with fold when fold is
+// non-nil. Both passes are pipeline sinks over the same engine every other
+// stream consumer rides: the measurement is just another fold.
+func buildCSR(ctx context.Context, pred *core.Properties, np int, fold pipeline.Sink,
+	stream func(ctx context.Context, np, batchSize int, sink pipeline.Sink) error) (*sparse.CSR[int64], error) {
+	n := int(pred.Vertices.Int64())
 	builder, err := sparse.NewCSRBuilder[int64](n, n, np)
 	if err != nil {
 		return nil, err
 	}
-	// Pass 1 — measure in flight: per-worker degree tallies and edge
-	// counts, no edge stored. Each worker touches only its own tally row,
-	// so the pass shares nothing, like the generator underneath it. Both
-	// passes are pipeline sinks over the same StreamTo engine every other
-	// stream consumer rides — the measurement is just another fold.
-	if err := g.StreamTo(ctx, np, 0, pipeline.Instrument(obs.Stages.Stage(stageTally), tallySink{builder})); err != nil {
+	var tally pipeline.Sink = tallySink{builder}
+	if fold != nil {
+		tally = pipeline.Tee(tally, fold)
+	}
+	if err := stream(ctx, np, 0, pipeline.Instrument(obs.Stages.Stage(stageTally), tally)); err != nil {
 		return nil, err
 	}
 	if err := builder.Finalize(); err != nil {
 		return nil, err
 	}
-
-	// The band merge: edges, vertices, and the exact degree distribution
-	// all fall out of the merged row pointers before any edge is placed.
-	r.MeasuredEdges = int64(builder.NNZ())
-	hist, err := sparse.DegreeHistogramCSR(builder.RowPtr(), np)
-	if err != nil {
+	if err := stream(ctx, np, 0, pipeline.Instrument(obs.Stages.Stage(stageScatter), scatterSink{builder})); err != nil {
 		return nil, err
+	}
+	return builder.Build()
+}
+
+// measure is the one report step: it seeds the Report with the design's
+// predictions, reads edges, vertices and the exact degree distribution off
+// a's row pointers, counts triangles once, and compares. The count consumes
+// a: nothing after it reads a's column indices.
+func measure(ctx context.Context, d *core.Design, pred *core.Properties, a *sparse.CSR[int64], np int) (*Report, error) {
+	r := &Report{
+		Design:             d,
+		Workers:            np,
+		PredictedVertices:  pred.Vertices,
+		PredictedEdges:     pred.Edges,
+		PredictedTriangles: pred.Triangles,
+		PredictedDegrees:   pred.Degrees,
+		MeasuredEdges:      int64(a.NNZ()),
+	}
+	var err error
+	if r.MeasuredDegrees, r.MeasuredVertices, err = degrees(a.RowPtr, np); err != nil {
+		return nil, err
+	}
+	if r.MeasuredTriangles, err = triangle.CountOrientedCSR(ctx, a, np, obs.Stages.Stage(stageTriangles)); err != nil {
+		return nil, err
+	}
+	r.compare()
+	return r, nil
+}
+
+// degrees folds a CSR's row lengths into the exact degree distribution and
+// the number of vertices with at least one incident edge.
+func degrees(rowPtr []int, np int) (*bigdeg.Dist, int64, error) {
+	hist, err := sparse.DegreeHistogramCSR(rowPtr, np)
+	if err != nil {
+		return nil, 0, err
 	}
 	md := bigdeg.New()
 	var touched int64
@@ -134,95 +180,7 @@ func Run(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
 		md.AddCount(big.NewInt(deg), big.NewInt(cnt))
 		touched += cnt
 	}
-	r.MeasuredDegrees = md
-	r.MeasuredVertices = touched
-
-	// Pass 2 — scatter the regenerated stream into the CSR. The generator
-	// is deterministic per worker, so each worker replays exactly the band
-	// it counted.
-	if err := g.StreamTo(ctx, np, 0, pipeline.Instrument(obs.Stages.Stage(stageScatter), scatterSink{builder})); err != nil {
-		return nil, err
-	}
-	a, err := builder.Build()
-	if err != nil {
-		return nil, err
-	}
-
-	// The CSR is consumed here: nothing after the count reads it.
-	tri, err := triangle.CountOrientedCSR(ctx, a, np, obs.Stages.Stage(stageTriangles))
-	if err != nil {
-		return nil, err
-	}
-	r.MeasuredTriangles = tri
-
-	r.compare()
-	return r, nil
-}
-
-// RunMaterialized is the pre-streaming reference engine: it collects every
-// generated edge into one global COO, canonicalizes it with a comparison
-// sort, and measures from the materialized matrix. It exists as the oracle
-// for the streaming engine's parity tests and as the baseline the fig4
-// validation-throughput benchmark is measured against; it still enforces
-// the historical 2^27-edge bound of the global-sort pipeline.
-func RunMaterialized(ctx context.Context, d *core.Design, nb, np int) (*Report, error) {
-	pred, g, r, err := prepare(d, nb, np)
-	if err != nil {
-		return nil, err
-	}
-	if pred.Edges.Int64() > 1<<27 {
-		return nil, fmt.Errorf("validate: design too large for the materialized engine (%s edges)", pred.Edges)
-	}
-	n := pred.Vertices.Int64()
-
-	buffers := make([][]sparse.Triple[int64], np)
-	err = g.StreamTo(ctx, np, 0, pipeline.Func(func(w int, batch []gen.Edge) error {
-		buf := buffers[w]
-		for _, e := range batch {
-			buf = append(buf, sparse.Triple[int64]{Row: int(e.Row), Col: int(e.Col), Val: e.Val})
-		}
-		buffers[w] = buf
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	// The stream checks ctx per batch, but everything after it — the global
-	// concatenation, Dedupe's sort, and both serial triangle counters — used
-	// to run uninterruptible, so a SIGINT during the sort phase hung until
-	// the whole materialized pipeline finished. One check at the seam keeps
-	// the engine's cancellation latency bounded by the stream's last batch.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var tr []sparse.Triple[int64]
-	for _, b := range buffers {
-		tr = append(tr, b...)
-	}
-	a, err := sparse.NewCOO(int(n), int(n), tr)
-	if err != nil {
-		return nil, err
-	}
-
-	sr := semiring.PlusTimesInt64()
-	r.MeasuredEdges = int64(a.Dedupe(sr).NNZ())
-	hist := sparse.DegreeHistogram(a, sr)
-	md := bigdeg.New()
-	var touched int64
-	for deg, cnt := range hist {
-		md.AddCount(big.NewInt(int64(deg)), big.NewInt(int64(cnt)))
-		touched += int64(cnt)
-	}
-	r.MeasuredDegrees = md
-	r.MeasuredVertices = touched
-	tri, err := triangle.CountBoth(a)
-	if err != nil {
-		return nil, err
-	}
-	r.MeasuredTriangles = tri
-
-	r.compare()
-	return r, nil
+	return md, touched, nil
 }
 
 // tallySink is the pass-1 measurement fold as a pipeline sink: each worker
@@ -276,44 +234,45 @@ func checkRealizable(pred *core.Properties) error {
 	return nil
 }
 
-// prepare computes the predictions, checks realizability, builds the split
-// generator, and seeds a report with the predicted side.
-func prepare(d *core.Design, nb, np int) (*core.Properties, *gen.Generator, *Report, error) {
+// prepare computes the predictions, checks realizability, and builds the
+// split generator.
+func prepare(d *core.Design, nb int) (*core.Properties, *gen.Generator, error) {
 	pred, err := d.Compute()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := checkRealizable(pred); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	g, err := gen.New(d, nb)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	r := &Report{
-		Design:             d,
-		Workers:            np,
-		PredictedVertices:  pred.Vertices,
-		PredictedEdges:     pred.Edges,
-		PredictedTriangles: pred.Triangles,
-		PredictedDegrees:   pred.Degrees,
+	return pred, g, nil
+}
+
+// mismatch describes a scalar property's disagreement, if any.
+func mismatch(name string, predicted *big.Int, measured int64) []string {
+	if predicted.Cmp(big.NewInt(measured)) == 0 {
+		return nil
 	}
-	return pred, g, r, nil
+	return []string{fmt.Sprintf("%s: predicted %s, measured %d", name, predicted, measured)}
+}
+
+// mismatches lists the disagreements among the properties every mode
+// measures exactly: vertices, edges, and the degree distribution.
+func mismatches(pv, pe *big.Int, pd *bigdeg.Dist, mv, me int64, md *bigdeg.Dist) []string {
+	out := append(mismatch("vertices", pv, mv), mismatch("edges", pe, me)...)
+	if !bigdeg.Equal(pd, md) {
+		out = append(out, "degree distribution differs")
+	}
+	return out
 }
 
 func (r *Report) compare() {
-	check := func(name string, predicted *big.Int, measured int64) {
-		if predicted.Cmp(big.NewInt(measured)) != 0 {
-			r.Mismatches = append(r.Mismatches,
-				fmt.Sprintf("%s: predicted %s, measured %d", name, predicted, measured))
-		}
-	}
-	check("vertices", r.PredictedVertices, r.MeasuredVertices)
-	check("edges", r.PredictedEdges, r.MeasuredEdges)
-	check("triangles", r.PredictedTriangles, r.MeasuredTriangles)
-	if !bigdeg.Equal(r.PredictedDegrees, r.MeasuredDegrees) {
-		r.Mismatches = append(r.Mismatches, "degree distribution differs")
-	}
+	r.Mismatches = append(mismatches(r.PredictedVertices, r.PredictedEdges, r.PredictedDegrees,
+		r.MeasuredVertices, r.MeasuredEdges, r.MeasuredDegrees),
+		mismatch("triangles", r.PredictedTriangles, r.MeasuredTriangles)...)
 	r.ExactAgreement = len(r.Mismatches) == 0
 }
 

@@ -2,10 +2,13 @@ package validate
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/star"
 )
 
@@ -91,5 +94,56 @@ func TestRejectsUnrealizableDesign(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), d, 8, 2); err == nil {
 		t.Error("decetta-scale design accepted for realization")
+	}
+}
+
+// Every entry point must return ctx's error, not a report, when handed an
+// already-cancelled context: the generation passes stop within a batch, and
+// Merge (whose shard reports were measured under a live context) stops in
+// the fragment merge or the triangle count.
+func TestEntryPointsCancelled(t *testing.T) {
+	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := func(K int) []*ShardReport {
+		plan, err := gen.PlanDesignShards(d, 2, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := make([]*ShardReport, len(plan))
+		for i, s := range plan {
+			if reports[i], err = RunShard(context.Background(), d, 2, 2, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reports
+	}
+	plan, err := gen.PlanDesignShards(d, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		name string
+		run  func(ctx context.Context) error
+	}
+	cases := []entry{
+		{"Run", func(ctx context.Context) error { _, err := Run(ctx, d, 2, 4); return err }},
+		{"RunShard", func(ctx context.Context) error { _, err := RunShard(ctx, d, 2, 2, plan[0]); return err }},
+		{"RunSampled", func(ctx context.Context) error { _, err := RunSampled(ctx, d, 2, 2); return err }},
+	}
+	for _, K := range []int{1, 2} {
+		reports := shards(K)
+		cases = append(cases, entry{fmt.Sprintf("Merge/K=%d", K), func(ctx context.Context) error {
+			_, err := Merge(ctx, reports, 2)
+			return err
+		}})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		if err := tc.run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
 	}
 }

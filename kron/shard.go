@@ -66,14 +66,12 @@ func MergeValidation(ctx context.Context, reports []*ShardValidation, np int) (*
 // validate.SampledReport.
 type SampledValidationReport = validate.SampledReport
 
-// SampleOptions tunes ValidateSampled; the zero value means defaults.
-type SampleOptions = validate.SampleOptions
-
 // ValidateSampled runs the approximate validation mode: exact everything
-// except triangles, which are estimated from a deterministic sample of the
-// measured CSR's weight-balanced entry bands. Use it for interactive checks
-// on designs whose exact triangle count would take minutes; Validate remains
-// the exact verdict.
-func ValidateSampled(ctx context.Context, d *Design, nb, np int, opt SampleOptions) (*SampledValidationReport, error) {
-	return validate.RunSampled(ctx, d, nb, np, opt)
+// except triangles, which are estimated from a fixed deterministic sample
+// (every 8th of 1024 weight-balanced entry bands) of the measured CSR.
+// Validate remains the exact verdict, and on hub designs it is now about as
+// fast, because its triangle count runs over a degree-ordered orientation
+// while the estimate intersects full rows.
+func ValidateSampled(ctx context.Context, d *Design, nb, np int) (*SampledValidationReport, error) {
+	return validate.RunSampled(ctx, d, nb, np)
 }

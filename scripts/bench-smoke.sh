@@ -13,10 +13,13 @@
 #      the unsharded design-level verdict.
 #   4. sampledValidationKS must be 0: the sampled mode's exactly-measured
 #      side agrees with the prediction.
+#   5. streamingValidationExact must be true — every fig4 validate.Run (the
+#      reduced-scale design and each worker count of the throughput sweep)
+#      reached exact agreement.
 #
 # Then reruns fig3 and gates the wire-format kernels:
 #
-#   5. deltaWireToCountRatio must be at least 0.5 — the block-replay delta
+#   6. deltaWireToCountRatio must be at least 0.5 — the block-replay delta
 #      encoder must keep streaming real bytes at no less than half the bare
 #      count engine's rate, the gap the replay kernels exist to close.
 #
@@ -55,6 +58,9 @@ jq -e '.shardValidationExact == true' "$FRESH" >/dev/null \
 
 jq -e '.sampledValidationKS == 0' "$FRESH" >/dev/null \
   || fail "sampled validation KS statistic is nonzero: measured degree distribution drifted"
+
+jq -e '.streamingValidationExact == true' "$FRESH" >/dev/null \
+  || fail "an unsharded validate.Run did not reach exact agreement with the design"
 
 echo "== kronbench -fig 3 (fresh snapshot into $WORK)"
 go run ./cmd/kronbench -fig 3 -json -json-dir "$WORK"
