@@ -97,8 +97,37 @@ func TestRejectsUnrealizableDesign(t *testing.T) {
 	}
 }
 
-// Every entry point must return ctx's error, not a report, when handed an
-// already-cancelled context: the generation passes stop within a batch, and
+func TestRunCancelled(t *testing.T) {
+	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, d, 2, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// RunShard must stop within a batch of a pre-cancelled context, like Run.
+func TestRunShardCancelled(t *testing.T) {
+	d, err := core.FromPoints([]int{3, 4, 5, 9}, star.LoopHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := gen.PlanDesignShards(d, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunShard(ctx, d, 2, 2, plan[0]); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// The other entry points must also return ctx's error, not a report, when
+// handed an already-cancelled context: RunSampled stops within a batch, and
 // Merge (whose shard reports were measured under a live context) stops in
 // the fragment merge or the triangle count.
 func TestEntryPointsCancelled(t *testing.T) {
@@ -119,17 +148,11 @@ func TestEntryPointsCancelled(t *testing.T) {
 		}
 		return reports
 	}
-	plan, err := gen.PlanDesignShards(d, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type entry struct {
 		name string
 		run  func(ctx context.Context) error
 	}
 	cases := []entry{
-		{"Run", func(ctx context.Context) error { _, err := Run(ctx, d, 2, 4); return err }},
-		{"RunShard", func(ctx context.Context) error { _, err := RunShard(ctx, d, 2, 2, plan[0]); return err }},
 		{"RunSampled", func(ctx context.Context) error { _, err := RunSampled(ctx, d, 2, 2); return err }},
 	}
 	for _, K := range []int{1, 2} {
