@@ -304,7 +304,8 @@ func (w *worker) fill(block []Edge, rBase, cBase, vB int64) error {
 
 // replay hands one B triple to the sink as a single block run of block at
 // (rBase, cBase), re-rendering the template only when the B value vB
-// changes. Pending batch edges — the loop-owning triple's tail — are flushed
+// changes. Render allocates fresh buffers, so runs a retaining sink cloned
+// from the previous rendering keep their bytes. Pending batch edges — the loop-owning triple's tail — are flushed
 // first, keeping per-worker edge order exact.
 func (w *worker) replay(block []Edge, rBase, cBase, vB int64) error {
 	if err := w.flush(w.buf); err != nil {

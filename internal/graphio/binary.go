@@ -535,29 +535,102 @@ func readFixedFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error
 	return nil
 }
 
-// readDeltaFrame decodes n delta-varint records; prev resets at frame start
-// per the format, so each frame stands alone.
-func readDeltaFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error) error {
-	var prevRow, prevCol int64
-	for ; n > 0; n-- {
-		dr, err1 := binary.ReadUvarint(br)
-		dc, err2 := binary.ReadUvarint(br)
-		dv, err3 := binary.ReadUvarint(br)
-		if err1 != nil || err2 != nil || err3 != nil {
-			err := errors.Join(err1, err2, err3)
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("%w: delta frame cut short", ErrBinaryTruncated)
-			}
-			return fmt.Errorf("%w: bad delta varint: %v", ErrBinaryCorrupt, err)
+// maxDeltaRecord is the longest well-formed delta record: three varints of
+// at most binary.MaxVarintLen64 bytes each. A read window holding at least
+// this many bytes always yields a whole record or a provably bad varint.
+const maxDeltaRecord = 3 * binary.MaxVarintLen64
+
+// deltaWindow returns the reader's buffered bytes without consuming them,
+// refilling first when fewer than maxDeltaRecord are buffered. err is the
+// read error that left the window short of maxDeltaRecord, nil otherwise.
+func deltaWindow(br *bufio.Reader) ([]byte, error) {
+	var err error
+	if br.Buffered() < maxDeltaRecord {
+		_, err = br.Peek(maxDeltaRecord)
+	}
+	win, _ := br.Peek(br.Buffered())
+	return win, err
+}
+
+// deltaCursor is a frame's running decode position: the previous edge's
+// row and column, which every delta record is relative to.
+type deltaCursor struct{ row, col int64 }
+
+// decode fills dst with whole delta records from win and returns how many
+// it decoded and the bytes they used, stopping early at a record win holds
+// only part of. A varint that overflows 64 bits makes bad true. Records
+// whose three varints are one byte each — the bulk of a band-ordered stream
+// — decode inline; the rest go through binary.Uvarint.
+func (c *deltaCursor) decode(win []byte, dst []Edge) (k, used int, bad bool) {
+	row, col := c.row, c.col
+	for k < len(dst) {
+		w := win[used:]
+		if len(w) >= 3 && w[0]|w[1]|w[2] < 0x80 {
+			row += unzigzag(uint64(w[0]))
+			col += unzigzag(uint64(w[1]))
+			dst[k] = Edge{Row: row, Col: col, Val: unzigzag(uint64(w[2]))}
+			used += 3
+			k++
+			continue
 		}
-		prevRow += unzigzag(dr)
-		prevCol += unzigzag(dc)
+		dr, a := binary.Uvarint(w)
+		if a <= 0 {
+			bad = a < 0
+			break
+		}
+		dc, b := binary.Uvarint(w[a:])
+		if b <= 0 {
+			bad = b < 0
+			break
+		}
+		dv, v := binary.Uvarint(w[a+b:])
+		if v <= 0 {
+			bad = v < 0
+			break
+		}
+		row += unzigzag(dr)
+		col += unzigzag(dc)
+		dst[k] = Edge{Row: row, Col: col, Val: unzigzag(dv)}
+		used += a + b + v
+		k++
+	}
+	c.row, c.col = row, col
+	return k, used, bad
+}
+
+// readDeltaFrame decodes n delta-varint records; prev resets at frame start
+// per the format, so each frame stands alone. Records are decoded straight
+// out of the reader's buffered window and the consumed bytes discarded, so
+// the per-byte cost is a slice index rather than an interface call. A
+// record the window holds only part of triggers a refill; if the input ends
+// first the frame was cut short (ErrBinaryTruncated).
+func readDeltaFrame(br *bufio.Reader, n int64, batch *[]Edge, flush func() error) error {
+	var cur deltaCursor
+	for n > 0 {
 		if len(*batch) == cap(*batch) {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		*batch = append(*batch, Edge{Row: prevRow, Col: prevCol, Val: unzigzag(dv)})
+		win, rerr := deltaWindow(br)
+		lo := len(*batch)
+		dst := (*batch)[lo:cap(*batch)]
+		if int64(len(dst)) > n {
+			dst = dst[:n]
+		}
+		k, used, bad := cur.decode(win, dst)
+		_, _ = br.Discard(used)
+		*batch = (*batch)[:lo+k]
+		n -= int64(k)
+		if bad {
+			return fmt.Errorf("%w: bad delta varint: varint overflows a 64-bit integer", ErrBinaryCorrupt)
+		}
+		if k < len(dst) && rerr != nil {
+			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
+				return fmt.Errorf("%w: delta frame cut short", ErrBinaryTruncated)
+			}
+			return fmt.Errorf("%w: bad delta varint: %v", ErrBinaryCorrupt, rerr)
+		}
 	}
 	return nil
 }

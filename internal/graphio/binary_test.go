@@ -3,10 +3,14 @@ package graphio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // bandOrderedEdges builds a deterministic band-ordered edge list (rows
@@ -458,6 +462,243 @@ func TestEdgeWriterZeroAllocsPerBatch(t *testing.T) {
 				t.Logf("race build: observed %.1f allocs/batch; assertion skipped (instrumentation allocates)", allocs)
 			} else if allocs != 0 {
 				t.Fatalf("%s WriteEdges allocates %.1f times per batch, want 0", name, allocs)
+			}
+		})
+	}
+}
+
+// mixedVarintEdges builds n edges whose delta records mix 1-, 2- and
+// 10-byte varints: unit steps, steps of a hundred, row and column jumps of
+// ±(1<<62), MinInt64/MaxInt64 coordinates and values, and negative columns.
+// Deltas between the extremes wrap, which the zig-zag fold must survive.
+func mixedVarintEdges(n int) []Edge {
+	steps := []Edge{
+		{Row: 0, Col: 1, Val: 1},
+		{Row: 0, Col: 2, Val: 1},
+		{Row: 0, Col: 100, Val: -70},
+		{Row: 1 << 62, Col: -3, Val: 1},
+		{Row: 0, Col: -(1 << 62), Val: math.MaxInt64},
+		{Row: math.MinInt64, Col: math.MaxInt64, Val: math.MinInt64},
+		{Row: 5, Col: -9, Val: 0},
+		{Row: 5, Col: -8, Val: 1},
+	}
+	edges := make([]Edge, n)
+	for i := range edges {
+		e := steps[i%len(steps)]
+		e.Row += int64(i / len(steps))
+		edges[i] = e
+	}
+	return edges
+}
+
+// deltaEdgeCases are KRNB delta streams of mixed varint widths in every
+// frame shape the writers produce. The block-run frames are each longer
+// than ReadBinary's 64 KiB read buffer, so records straddle refills.
+func deltaEdgeCases(t *testing.T) map[string][]byte {
+	t.Helper()
+	encode := func(nnz int64, write func(w *BinaryEdgeWriter) error) []byte {
+		var buf bytes.Buffer
+		w, err := NewBinaryEdgeWriter(&buf, nnz, BinaryDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	mixed := mixedVarintEdges(6000)
+	blockRuns := func(block []Edge) []byte {
+		var tmpl DeltaBlockTemplate
+		tmpl.Render(block)
+		return encode(2*int64(len(block)), func(w *BinaryEdgeWriter) error {
+			if err := w.WriteBlockRun(&tmpl, 0, 0); err != nil {
+				return err
+			}
+			return w.WriteBlockRun(&tmpl, 1<<40, -(1 << 41))
+		})
+	}
+	cases := map[string][]byte{
+		"batch": encode(int64(len(mixed)), func(w *BinaryEdgeWriter) error { return w.WriteEdges(mixed) }),
+		"per-edge": encode(int64(len(mixed)), func(w *BinaryEdgeWriter) error {
+			for _, e := range mixed {
+				if err := w.WriteEdge(e.Row, e.Col, e.Val); err != nil {
+					return err
+				}
+			}
+			return nil
+		}),
+		"block-mixed":  blockRuns(mixedVarintEdges(6000)),
+		"block-banded": blockRuns(bandOrderedEdges(24_000)),
+	}
+	for _, name := range []string{"block-mixed", "block-banded"} {
+		if len(cases[name]) < 2<<16 {
+			t.Fatalf("%s: %d bytes, want two frames over the 64 KiB read buffer", name, len(cases[name]))
+		}
+	}
+	return cases
+}
+
+// TestBinaryDeltaEdgeCases pins the windowed delta decoder on records of
+// every varint width: each stream round-trips whole (also through readers
+// that hand over one byte, or half the request, at a time, so every record
+// boundary meets a refill), and every cut in its last 64 bytes and around
+// the read buffer's refill boundaries fails as truncated or corrupt.
+func TestBinaryDeltaEdgeCases(t *testing.T) {
+	for name, data := range deltaEdgeCases(t) {
+		t.Run(name, func(t *testing.T) {
+			want, info, err := collectBinary(t, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Edges != int64(len(want)) || info.Checksum != foldChecksum(0, want) {
+				t.Fatalf("trailer (%d, %#x) does not match the %d decoded edges", info.Edges, uint64(info.Checksum), len(want))
+			}
+			readers := map[string]func([]byte) io.Reader{
+				"one-byte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+				"half":     func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+			}
+			for rname, mk := range readers {
+				var got []Edge
+				if _, err := ReadBinary(nil, mk(data), func(batch []Edge) error {
+					got = append(got, batch...)
+					return nil
+				}); err != nil {
+					t.Fatalf("%s reader: %v", rname, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s reader decoded a different stream", rname)
+				}
+			}
+
+			cuts := map[int]bool{}
+			for c := max(0, len(data)-64); c < len(data); c++ {
+				cuts[c] = true
+			}
+			for edge := 1 << 16; edge < len(data); edge += 1 << 16 {
+				for c := edge - 2*maxDeltaRecord; c <= edge+2*maxDeltaRecord && c < len(data); c++ {
+					cuts[c] = true
+				}
+			}
+			for c := range cuts {
+				_, _, err := collectBinary(t, data[:c])
+				if err == nil {
+					t.Fatalf("prefix of %d/%d bytes decoded without error", c, len(data))
+				}
+				if !errors.Is(err, ErrBinaryTruncated) && !errors.Is(err, ErrBinaryCorrupt) {
+					t.Fatalf("prefix of %d bytes: unexpected error class %v", c, err)
+				}
+			}
+		})
+	}
+}
+
+// overlongVarintStream is a delta stream whose second record carries a
+// varint longer than 64 bits in field (0 row, 1 column, 2 value). With tail
+// set, a valid remainder of the frame, more frames and the trailer follow,
+// so the bad varint sits inside the read window; without it the input ends
+// right after the bad varint.
+func overlongVarintStream(field int, bad []byte, tail bool) []byte {
+	const frameEdges = 40
+	data := append([]byte(binaryMagic), binaryVersion, binFlagHasNNZ)
+	data = binary.AppendUvarint(data, frameEdges)
+	data = binary.AppendUvarint(data, frameEdges)
+	data = append(data, 2, 2, 2)
+	for i := range 3 {
+		if i == field {
+			data = append(data, bad...)
+		} else {
+			data = append(data, 2)
+		}
+	}
+	if !tail {
+		return data
+	}
+	for range frameEdges - 2 {
+		data = append(data, 2, 2, 2)
+	}
+	var w bytes.Buffer
+	bw, err := NewBinaryEdgeWriter(&w, -1, BinaryDelta)
+	if err != nil {
+		panic(err)
+	}
+	if err := bw.WriteEdges(bandOrderedEdges(100)); err != nil {
+		panic(err)
+	}
+	if err := bw.Finish(); err != nil {
+		panic(err)
+	}
+	return append(data, w.Bytes()[6:]...) // its frames and trailer
+}
+
+// overlongVarints are the two ways a varint overflows 64 bits: an 11-byte
+// encoding, and a 10-byte one whose last byte carries bits past bit 63.
+var overlongVarints = map[string][]byte{
+	"11-byte":      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+	"10-byte-high": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+}
+
+// TestBinaryDeltaOverlongVarint: a varint that overflows 64 bits in the
+// middle of a delta frame is corruption, whichever field holds it and
+// whether it sits inside the read window or at the very end of the input.
+func TestBinaryDeltaOverlongVarint(t *testing.T) {
+	for name, bad := range overlongVarints {
+		for field := range 3 {
+			for _, tail := range []bool{true, false} {
+				data := overlongVarintStream(field, bad, tail)
+				if _, _, err := collectBinary(t, data); !errors.Is(err, ErrBinaryCorrupt) {
+					t.Errorf("%s varint in field %d (tail %v): %v, want ErrBinaryCorrupt", name, field, tail, err)
+				}
+			}
+		}
+	}
+}
+
+// TestReadBinaryZeroAllocsPerFrame is the decode side's alloc-regression
+// guard: ReadBinary's setup (read buffer, emit batch, info) is a fixed
+// cost, and decoding further frames of either encoding allocates nothing —
+// a stream of many frames costs exactly the allocations of a stream of few.
+func TestReadBinaryZeroAllocsPerFrame(t *testing.T) {
+	block := bandOrderedEdges(3000)
+	var tmpl DeltaBlockTemplate
+	tmpl.Render(block)
+	stream := func(enc BinaryEncoding, frames int) []byte {
+		var buf bytes.Buffer
+		w, err := NewBinaryEdgeWriter(&buf, int64(frames*len(block)), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := range frames {
+			base := int64(f) << 20
+			if err := w.WriteBlockRun(&tmpl, base, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, enc := range []BinaryEncoding{BinaryDelta, BinaryFixed} {
+		t.Run(enc.String(), func(t *testing.T) {
+			r := bytes.NewReader(nil)
+			emit := func([]Edge) error { return nil }
+			allocs := func(data []byte) float64 {
+				return testing.AllocsPerRun(10, func() {
+					r.Reset(data)
+					if _, err := ReadBinary(nil, r, emit); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			few, many := allocs(stream(enc, 2)), allocs(stream(enc, 64))
+			if raceEnabled {
+				t.Logf("race build: %.1f vs %.1f allocs; assertion skipped (instrumentation allocates)", few, many)
+			} else if many != few {
+				t.Fatalf("decoding 64 frames allocates %.1f times, 2 frames %.1f: frames allocate", many, few)
 			}
 		})
 	}

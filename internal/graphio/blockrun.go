@@ -35,7 +35,8 @@ type DeltaBlockTemplate struct {
 	firstRow, firstCol, firstVal int64
 
 	// tail is the delta-varint payload of edges[1:], reused verbatim by
-	// every replay of this template.
+	// every replay of this template. tail, pre and locals are never written
+	// after Render returns; clones share them.
 	tail []byte
 
 	// pre[i] = localRow[i]*31 + localCol[i] — the block-invariant part of
@@ -50,16 +51,19 @@ type DeltaBlockTemplate struct {
 // Render (re)builds the template from a block's edges in block-local
 // coordinates, values already multiplied through (for K = B ⊗ C: C's edges
 // with vals scaled by the B-triple's value). The block slice is only read
-// during the call; the template owns its buffers and may be re-rendered in
-// place when the scaling value changes.
+// during the call. A rendered template is immutable: Render always writes
+// into freshly allocated buffers and never into the ones a previous
+// rendering handed out, so a CloneInto copy taken before a re-render keeps
+// its bytes. A generator renders once per distinct B value per worker and
+// pass, which for star designs (every B value 1) is once per worker.
 func (t *DeltaBlockTemplate) Render(block []Edge) {
-	t.n = len(block)
-	t.tail = t.tail[:0]
-	t.pre = t.pre[:0]
-	t.locals = append(t.locals[:0], block...)
+	*t = DeltaBlockTemplate{n: len(block)}
 	if len(block) == 0 {
 		return
 	}
+	t.locals = append([]Edge(nil), block...)
+	t.pre = make([]int64, 0, len(block))
+	t.tail = make([]byte, 0, 3*(len(block)-1))
 	first := block[0]
 	t.firstRow, t.firstCol, t.firstVal = first.Row, first.Col, first.Val
 	prevRow, prevCol := first.Row, first.Col
@@ -97,17 +101,14 @@ func (t *DeltaBlockTemplate) AppendEdges(dst []Edge, rowBase, colBase int64) []E
 	return dst
 }
 
-// CloneInto copies the template into dst, reusing dst's buffers. Sinks that
-// retain a run past WriteBlockRun (the pooled async hand-off) must clone:
-// the producer owns the template and re-renders it in place after the call
-// returns — the same ownership contract batches have.
-func (t *DeltaBlockTemplate) CloneInto(dst *DeltaBlockTemplate) {
-	dst.n = t.n
-	dst.firstRow, dst.firstCol, dst.firstVal = t.firstRow, t.firstCol, t.firstVal
-	dst.tail = append(dst.tail[:0], t.tail...)
-	dst.pre = append(dst.pre[:0], t.pre...)
-	dst.locals = append(dst.locals[:0], t.locals...)
-}
+// CloneInto copies the template into dst by reference: a constant-size
+// header copy that shares the rendered buffers, which stay valid because a
+// rendered template is immutable (see Render). Sinks that retain a run past
+// WriteBlockRun (the pooled async hand-off) must still clone rather than
+// keep the *DeltaBlockTemplate: the producer owns that header and re-renders
+// it when the B value changes, after which it describes a different block —
+// the same ownership contract batches have.
+func (t *DeltaBlockTemplate) CloneInto(dst *DeltaBlockTemplate) { *dst = *t }
 
 // BlockRunWriter is implemented by edge writers with a block-replay fast
 // path. WriteBlockRun appends the template's edges at the given block offset

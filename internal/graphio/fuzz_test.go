@@ -192,6 +192,12 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(binarySeed(2, BinaryFixed, []Edge{{Row: 0, Col: 1, Val: 1}, {Row: 5, Col: 2, Val: -7}}))
 	f.Add(binarySeed(0, BinaryDelta, nil))
 	f.Add(binarySeed(-1, BinaryFixed, []Edge{{Row: 1 << 40, Col: -(1 << 30), Val: 9}}))
+	// Delta records of every varint width, and varints overflowing 64 bits
+	// mid-frame, both inside the read window and at the end of the input.
+	f.Add(binarySeed(-1, BinaryDelta, mixedVarintEdges(16)))
+	f.Add(overlongVarintStream(1, overlongVarints["11-byte"], true))
+	f.Add(overlongVarintStream(0, overlongVarints["11-byte"], false))
+	f.Add(overlongVarintStream(2, overlongVarints["10-byte-high"], false))
 	f.Add([]byte("KRNB"))
 	f.Add([]byte("0\t1\t1\n"))
 	f.Fuzz(func(t *testing.T, input []byte) {

@@ -2,10 +2,15 @@ package graphio
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"io"
+	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/sparse"
+	"repro/internal/star"
 )
 
 // Wire benchmarks: encode (and for the binary format, decode) throughput of
@@ -137,3 +142,62 @@ func benchmarkWireBinaryRead(b *testing.B, enc BinaryEncoding) {
 
 func BenchmarkWireBinaryFixedRead(b *testing.B) { benchmarkWireBinaryRead(b, BinaryFixed) }
 func BenchmarkWireBinaryDeltaRead(b *testing.B) { benchmarkWireBinaryRead(b, BinaryDelta) }
+
+// starBlockStream encodes the block-replay stream of a star design split as
+// B = star(3), C = star(81) ⊗ star(256): one frame of nnz(C) = 82,944 edges
+// per B nonzero, C's row-major pattern at the B triple's block offset — the
+// frames a delta KRNB job streams.
+func starBlockStream(b *testing.B) (data []byte, edges int) {
+	b.Helper()
+	c, err := sparse.KronN(sr, star.Spec{Points: 81}.Adjacency(), star.Spec{Points: 256}.Adjacency())
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := make([]Edge, c.NNZ())
+	for i, tr := range c.Tr {
+		block[i] = Edge{Row: int64(tr.Row), Col: int64(tr.Col), Val: tr.Val}
+	}
+	slices.SortFunc(block, func(x, y Edge) int {
+		if x.Row != y.Row {
+			return cmp.Compare(x.Row, y.Row)
+		}
+		return cmp.Compare(x.Col, y.Col)
+	})
+	var tmpl DeltaBlockTemplate
+	tmpl.Render(block)
+	bm := star.Spec{Points: 3}.Adjacency()
+	nC := int64(c.NumRows)
+	var buf bytes.Buffer
+	w, err := NewBinaryEdgeWriter(&buf, int64(bm.NNZ()*len(block)), BinaryDelta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tr := range bm.Tr {
+		if err := w.WriteBlockRun(&tmpl, int64(tr.Row)*nC, int64(tr.Col)*nC); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes(), bm.NNZ() * len(block)
+}
+
+// BenchmarkWireBinaryDeltaReadBlocks decodes a star design's block-replay
+// stream: the same frame shape and byte mix a delta KRNB client reads, where
+// BenchmarkWireBinaryDeltaRead's chunk-sized frames of synthetic bands are
+// not.
+func BenchmarkWireBinaryDeltaReadBlocks(b *testing.B) {
+	data, edges := starBlockStream(b)
+	ctx := context.Background()
+	r := bytes.NewReader(nil)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(data)
+		if _, err := ReadBinary(ctx, r, func([]Edge) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEdges(b, edges)
+}

@@ -16,18 +16,21 @@ type Batch struct {
 	Edges []Edge
 
 	// Run, when non-nil, is the replayed block this delivery carries in
-	// place of Edges: a cloned template the consumer may replay (or expand)
+	// place of Edges: a template clone the consumer may replay (or expand)
 	// at Run's block offset. Owned by the consumer until Recycle, like
 	// Edges.
 	Run *BatchRun
 
-	// runScratch keeps the clone's buffers alive across pool reuse so the
-	// run hand-off stays allocation-free at steady state.
+	// runScratch is the BatchRun kept across pool reuse so the run
+	// hand-off stays allocation-free at steady state.
 	runScratch *BatchRun
 }
 
-// BatchRun is the pooled copy of a block run inside a Batch: an owned
-// template clone plus the block offset it replays at.
+// BatchRun is the pooled copy of a block run inside a Batch: a template
+// clone plus the block offset it replays at. The clone is a header that
+// shares the producer's rendered buffers by reference — they are immutable
+// once rendered (graphio.DeltaBlockTemplate.Render), so the run keeps its
+// bytes even after the producer re-renders for another B value.
 type BatchRun struct {
 	T       graphio.DeltaBlockTemplate
 	RowBase int64
@@ -106,15 +109,23 @@ func (a *Async) Batches() <-chan *Batch { return a.ch }
 
 // Recycle returns a received Batch's buffer to the pool for reuse by a
 // future WriteBatch. The Batch and its Edges must not be used afterwards.
-func (a *Async) Recycle(b *Batch) { a.pool.Put(b) }
+// A run's template reference is dropped so a pooled Batch never pins a
+// rendering its producer has moved past.
+func (a *Async) Recycle(b *Batch) {
+	if b.Run != nil {
+		b.Run.T = graphio.DeltaBlockTemplate{}
+	}
+	a.pool.Put(b)
+}
 
 // Runs returns a block-capable view of the hand-off: same channel, pool,
-// and backpressure, but block runs cross it as cloned templates (a few
-// bytes per edge) instead of expanded 24-byte edge records, and the
-// consumer can replay the clone straight into a block-capable writer. The
-// view is a separate value so the owner chooses per stream whether the
-// composition advertises the capability — a batch-only consumer keeps the
-// plain *Async and never sees runs.
+// and backpressure, but block runs cross it by reference — a constant-size
+// template header sharing the producer's immutable rendered buffers —
+// instead of as expanded 24-byte edge records, and the consumer can replay
+// the clone straight into a block-capable writer. The view is a separate
+// value so the owner chooses per stream whether the composition advertises
+// the capability — a batch-only consumer keeps the plain *Async and never
+// sees runs.
 func (a *Async) Runs() BlockSink { return asyncRuns{a} }
 
 // asyncRuns adds the run hand-off to an Async without changing the batch
@@ -124,9 +135,10 @@ type asyncRuns struct {
 }
 
 // WriteBlockRun clones the run into a pooled Batch and sends it; the
-// template is owned by the producer after return, per the BlockSink
-// contract, so the clone (into buffers retained across pool reuse) is what
-// crosses the channel.
+// *DeltaBlockTemplate is owned by the producer after return, per the
+// BlockSink contract, so its header copy is what crosses the channel. The
+// copy is constant-size whatever the block's edge count: no bytes move and
+// nothing is allocated per run at steady state.
 func (r asyncRuns) WriteBlockRun(p int, run BlockRun) error {
 	a := r.Async
 	b := a.pool.Get().(*Batch)

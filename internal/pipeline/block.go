@@ -26,10 +26,13 @@ import (
 // the batch path — a block run is never silently expanded into a fan-out
 // that did not opt in.
 //
-// Ownership mirrors the batch contract: the run and its template belong to
-// the sink only until WriteBlockRun returns. The producer re-renders the
-// template in place (when the B value changes), so a sink that retains it —
-// the pooled async hand-off — must clone (DeltaBlockTemplate.CloneInto).
+// Ownership mirrors the batch contract: the run and its *template belong to
+// the sink only until WriteBlockRun returns. The producer re-renders its
+// template when the B value changes, so a sink that retains the run — the
+// pooled async hand-off — must clone (DeltaBlockTemplate.CloneInto). A
+// rendering is immutable: re-rendering allocates fresh buffers rather than
+// overwriting the old ones, so the clone is a constant-size header copy
+// that keeps its bytes however far the producer moves on.
 // Runs from distinct worker indices arrive concurrently, serially within
 // one worker, and may interleave with WriteBatch calls from the same worker
 // (the loop-bearing block falls back to batches); edge order per worker is

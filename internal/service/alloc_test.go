@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -96,9 +97,9 @@ func TestStreamServiceZeroAllocsPerBatch(t *testing.T) {
 // block-replay transport: one steady-state round trip of a rendered block
 // template — through the block-capable sink chain (progress and checksum
 // folds, pooled run hand-off via Async.Runs) and the consumer's recycle —
-// must allocate nothing. The clone into the pooled batch reuses the batch's
-// retained run scratch, so after the warm-up round the hand-off moves only
-// cached bytes, exactly like the wire path it feeds.
+// must allocate nothing. The clone is a constant-size header copy into the
+// batch's retained run scratch, sharing the template's immutable rendered
+// buffers, so after the warm-up round the hand-off moves no edge bytes.
 func TestStreamServiceZeroAllocsPerBlockRun(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewManager(cfg, &Metrics{})
@@ -165,5 +166,66 @@ func TestStreamServiceZeroAllocsPerBlockRun(t *testing.T) {
 	j.Recycle(b)
 	if cks.Sum() == before {
 		t.Fatal("checksum fold never ran — the measured chain is not the service sink chain")
+	}
+}
+
+// TestStreamServiceBlockRunBytesIndependentOfTemplate guards what
+// AllocsPerRun cannot see: the bytes a fresh job's run hand-off allocates.
+// A fresh job starts with an empty pool, so each of its first QueueDepth
+// block runs draws a new Batch; a hand-off that deep-copied the rendered
+// template into that Batch would allocate the whole block (about 35 bytes
+// per edge) per run — one allocation count, megabytes of memmove. Runs
+// cross by reference, so 64 runs of a 100k-edge template must allocate less
+// than a tenth of one template's rendered size.
+func TestStreamServiceBlockRunBytesIndependentOfTemplate(t *testing.T) {
+	cfg := DefaultConfig()
+	m := NewManager(cfg, &Metrics{})
+	defer m.Close()
+	j := &Job{
+		id:        "jblockbytes",
+		workers:   1,
+		sink:      SinkStream,
+		ctx:       context.Background(),
+		cancel:    func() {},
+		stream:    pipeline.NewAsync(context.Background(), cfg.QueueDepth),
+		attachCh:  make(chan struct{}),
+		done:      make(chan struct{}),
+		blockRuns: true,
+	}
+	sink, _ := m.jobSink(j)
+	bs, ok := sink.(pipeline.BlockSink)
+	if !ok {
+		t.Fatal("jobSink for a runs-attached stream job is not block-capable")
+	}
+	const edges = 100_000
+	block := make([]kron.Edge, edges)
+	for i := range block {
+		block[i] = kron.Edge{Row: int64(i / 256), Col: int64(i % 256), Val: 1}
+	}
+	var tmpl kron.DeltaBlockTemplate
+	tmpl.Render(block)
+	// The locals copy alone is 24 bytes per edge; the tail and checksum
+	// terms add more.
+	const templateBytes = 24 * edges
+
+	runs := cfg.QueueDepth
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		base := int64(i) * edges
+		if err := bs.WriteBlockRun(0, pipeline.BlockRun{T: &tmpl, RowBase: base, ColBase: base}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for range runs {
+		j.Recycle(<-j.stream.Batches())
+	}
+	if got := j.generated.Load(); got != int64(runs)*edges {
+		t.Fatalf("progress fold counted %d edges, want %d — the measured chain is not the service sink chain", got, runs*edges)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > templateBytes/10 {
+		t.Fatalf("a fresh job's first %d block runs allocated %d bytes, want < %d: "+
+			"the hand-off copies the template instead of passing it by reference", runs, alloc, templateBytes/10)
 	}
 }

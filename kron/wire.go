@@ -80,7 +80,9 @@ var (
 // DeltaBlockTemplate is a block's rendered delta byte template: the first
 // edge held symbolically (patched per replay), the rest as cached
 // delta-varint bytes, plus closed-form checksum terms. Render it from a
-// block's local edges, replay it via BinaryEdgeWriter.WriteBlockRun.
+// block's local edges, replay it via BinaryEdgeWriter.WriteBlockRun. A
+// rendering is immutable (re-rendering allocates fresh buffers), so a
+// CloneInto copy is a header that shares its bytes.
 type DeltaBlockTemplate = graphio.DeltaBlockTemplate
 
 // BlockRunWriter is implemented by edge writers with a block-replay fast

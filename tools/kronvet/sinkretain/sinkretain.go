@@ -14,12 +14,15 @@
 //
 // WriteBlockRun implementations carry the same ownership contract for block
 // runs: the producer re-renders the run's template after the call returns,
-// so retaining run.T — or any of the template's slices — is the same bug as
-// retaining the batch. Both shapes are checked: the pipeline-level
-// func(int, BlockRun) error (declared or literal) and the writer-level
-// func(*DeltaBlockTemplate, int64, int64) error. Reads of value-typed fields
-// (run.RowBase, t.Len()) are copies and stay unflagged;
-// run.T.CloneInto(&dst) is the sanctioned deep copy.
+// so retaining run.T (the producer's *DeltaBlockTemplate, which then
+// describes a different block) is the same bug as retaining the batch; the
+// analyzer also flags retaining any of the template's slices. Both shapes
+// are checked: the pipeline-level func(int, BlockRun) error (declared or
+// literal) and the writer-level func(*DeltaBlockTemplate, int64, int64)
+// error. Reads of value-typed fields (run.RowBase, t.Len()) are copies and
+// stay unflagged; run.T.CloneInto(&dst) is the sanctioned copy — a
+// constant-size header copy that shares the rendering's buffers, which
+// Render never writes again once it has returned.
 package sinkretain
 
 import (
